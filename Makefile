@@ -19,9 +19,9 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
         benchsmoke benchjson benchcmp servesmoke obssmoke shardsmoke \
-        tracesmoke fmt
+        tracesmoke perfbenchcheck fmt
 
-ci: vet lint build crossbuild asmcheck test purego race benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
+ci: vet lint build crossbuild asmcheck test purego race perfbenchcheck benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +51,13 @@ test:
 # The pure-Go fallback must pass the same tests as the assembly tier.
 purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
+
+# The benchmark harness is its own Go module (perfbench/go.mod replaces
+# repro with ../), so `go build ./...` at the root never compiles it. Vet
+# and test it here so a change to the internal packages it imports cannot
+# break the benchmark unnoticed.
+perfbenchcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Cross-compile check: the non-amd64 build (no .s files, generic dispatch)
 # must keep compiling even though this host never runs it.

@@ -314,16 +314,13 @@ func (h *handler) transform(w http.ResponseWriter, r *http.Request) {
 			treq.Rank, treq.Rank, len(treq.Dims)), http.StatusBadRequest)
 		return
 	}
-	n := 1
-	var dims [3]int
-	for i, d := range treq.Dims {
-		if d < 1 {
-			http.Error(w, fmt.Sprintf("dims must be ≥ 1, got %v", treq.Dims), http.StatusBadRequest)
-			return
-		}
-		dims[i] = d
-		n *= d
+	n, err := serve.ElemCount(treq.Dims)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
+	var dims [3]int
+	copy(dims[:], treq.Dims)
 	req := serve.Request{Rank: treq.Rank, Dims: dims, Inverse: treq.Inverse, Real: treq.Real, Sharded: treq.Sharded}
 	var encode func() []float64
 	switch {
@@ -367,7 +364,7 @@ func (h *handler) transform(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trace-Id", traceID)
 
 	start := time.Now()
-	err := h.s.Do(ctx, req)
+	err = h.s.Do(ctx, req)
 	h.recordFlight(traceID, &treq, dims, start, err)
 	switch {
 	case err == nil:

@@ -1,6 +1,7 @@
 // Command ffttune searches the double-buffering parameters (buffer size,
-// p_d : p_c worker split, μ, compute format) empirically on this host and
-// optionally persists the winners as a JSON wisdom file for later runs.
+// p_d : p_c worker split, μ, radix mix, store policy and fold) empirically
+// on the host it runs on and optionally persists the winners as a JSON
+// wisdom file for later runs.
 //
 // Usage:
 //

@@ -83,11 +83,11 @@ func WithCacheline(mu int) Option {
 	}
 }
 
-// WithRadix caps the Stockham stage radix of the power-of-two 1D sub-plans:
-// 8 (the default) makes ⌈log₄(n)⌉ passes over the cache-resident buffer per
-// pencil (a radix-8 first stage absorbs odd log₂(n) without a radix-2
-// pass), 4 and 2 make more passes and exist for tuning and ablation.
-// 0 selects the default.
+// WithRadix caps the Stockham stage radix of the power-of-two 1D sub-plans.
+// 0 selects the default, radix 16: fused codelets that each run two radix-4
+// passes in registers, plus a trailing radix-4 stage the store leg absorbs.
+// 8, 4 and 2 make more passes over the cache-resident buffer per pencil and
+// exist for tuning and ablation.
 func WithRadix(r int) Option {
 	return func(c *core.Config) error {
 		switch r {
@@ -96,15 +96,6 @@ func WithRadix(r int) Option {
 			return nil
 		}
 		return fmt.Errorf("repro: radix must be 0, 2, 4 or 8, got %d", r)
-	}
-}
-
-// WithSplitFormat enables or disables the block-interleaved compute format
-// (§IV-A; enabled by default).
-func WithSplitFormat(on bool) Option {
-	return func(c *core.Config) error {
-		c.SplitFormat = on
-		return nil
 	}
 }
 

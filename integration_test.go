@@ -123,7 +123,7 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 		Buffers:      []int{256, 1024},
 		WorkerSplits: [][2]int{{1, 1}},
 		Mus:          []int{4},
-		SplitFormats: []bool{false, true},
+		Radixes:      []int{0, 4},
 	}
 	best, _, err := tune.Tune3D(k, n, m, space, 1)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 		WithBufferElems(best.BufferElems),
 		WithWorkers(best.DataWorkers, best.ComputeWorkers),
 		WithCacheline(best.Mu),
-		WithSplitFormat(best.SplitFormat))
+		WithRadix(best.Radix))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ type Config struct {
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	SplitFormat    bool
 	// Radix caps the Stockham stage radix of power-of-two 1D sub-plans
-	// (0 = default 8; 2/4 select the higher-pass-count mixes).
+	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 select the
+	// higher-pass-count mixes).
 	Radix int
 	// StageFusion runs every transform as one fused stage graph (steady
 	// state flows through stage boundaries; one pipeline drain per
@@ -75,7 +75,6 @@ func Default() Config {
 		DataWorkers:    pd,
 		ComputeWorkers: pd,
 		Workers:        threads,
-		SplitFormat:    true,
 		StageFusion:    true,
 	}
 }
@@ -95,7 +94,6 @@ func ForMachine(m machine.Machine) Config {
 		DataWorkers:    pairs,
 		ComputeWorkers: pairs,
 		Workers:        m.Threads(),
-		SplitFormat:    true,
 		StageFusion:    true,
 		MachineName:    m.Name,
 		RooflineGBs:    m.StreamGBs,
@@ -139,7 +137,7 @@ func (c Config) fft3dOptions() (fft3d.Options, error) {
 	return fft3d.Options{
 		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, SplitFormat: c.SplitFormat, Radix: c.Radix,
+		Workers: c.Workers, Radix: c.Radix,
 		Unfused: !c.StageFusion, Tracer: c.Tracer,
 	}, nil
 }
@@ -152,7 +150,7 @@ func (c Config) fft2dOptions() (fft2d.Options, error) {
 	return fft2d.Options{
 		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, SplitFormat: c.SplitFormat, Radix: c.Radix,
+		Workers: c.Workers, Radix: c.Radix,
 		Unfused: !c.StageFusion, Tracer: c.Tracer,
 	}, nil
 }
@@ -330,8 +328,8 @@ func (p *Plan2D) Len() int { return p.n * p.m }
 func (p *Plan2D) Dims() (int, int) { return p.n, p.m }
 
 func (c Config) rfftOptions() rfft.Options {
-	// Real plans always run the stage-graph pipeline; Strategy, Workers and
-	// SplitFormat (pair-packed endpoints are interleaved-only) don't apply.
+	// Real plans always run the stage-graph pipeline; Strategy and Workers
+	// don't apply.
 	return rfft.Options{
 		Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,

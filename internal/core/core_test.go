@@ -26,9 +26,6 @@ func TestForMachineAppliesPaperRules(t *testing.T) {
 	if c.DataWorkers != 4 || c.ComputeWorkers != 4 {
 		t.Errorf("workers = %d/%d, want 4/4 (half of 8 threads each)", c.DataWorkers, c.ComputeWorkers)
 	}
-	if !c.SplitFormat {
-		t.Error("paper configuration should use split format")
-	}
 }
 
 func TestPlan3DRoundTrip(t *testing.T) {

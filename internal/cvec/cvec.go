@@ -12,7 +12,9 @@
 //
 // The paper converts from complex interleaved to block interleaved in the
 // first compute stage of a multi-dimensional FFT, runs all middle stages in
-// block-interleaved form, and converts back in the last stage.
+// block-interleaved form, and converts back in the last stage. The
+// transforms in this repository stay interleaved end to end (measured
+// faster on every shape); Split remains for the kernel format ablation.
 package cvec
 
 import (

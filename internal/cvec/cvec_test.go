@@ -98,10 +98,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		func() { Vec{1}.Dot(Vec{1, 2}) },
 		func() { MaxDiff(Vec{1}, Vec{1, 2}) },
 		func() { RelErr(Vec{1}, Vec{1, 2}) },
-		func() { CopySplit(NewSplit(1), NewSplit(2)) },
-		func() { Interleave(New(1), NewSplit(2)) },
-		func() { Deinterleave(NewSplit(1), New(2)) },
-		func() { MaxDiffSplit(NewSplit(1), NewSplit(2)) },
 	}
 	for i, f := range cases {
 		func() {
@@ -125,53 +121,6 @@ func TestSplitRoundTrip(t *testing.T) {
 	back := s.ToVec()
 	if MaxDiff(v, back) != 0 {
 		t.Fatal("FromVec/ToVec round trip lost data")
-	}
-}
-
-func TestSplitAtSetSlice(t *testing.T) {
-	s := NewSplit(8)
-	s.Set(3, 5+7i)
-	if s.At(3) != 5+7i {
-		t.Fatalf("At(3) = %v, want 5+7i", s.At(3))
-	}
-	sub := s.Slice(2, 5)
-	if sub.Len() != 3 {
-		t.Fatalf("Slice len = %d, want 3", sub.Len())
-	}
-	if sub.At(1) != 5+7i {
-		t.Fatal("Slice does not share storage")
-	}
-	sub.Set(0, 1i)
-	if s.At(2) != 1i {
-		t.Fatal("writes through Slice not visible in parent")
-	}
-}
-
-func TestSplitCloneCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	v := Random(rng, 20)
-	s := FromVec(v)
-	c := s.Clone()
-	c.Set(0, 99)
-	if s.At(0) == 99 {
-		t.Fatal("Clone shares storage")
-	}
-	d := NewSplit(20)
-	CopySplit(d, s)
-	if MaxDiffSplit(d, s) != 0 {
-		t.Fatal("CopySplit mismatch")
-	}
-}
-
-func TestInterleaveDeinterleave(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	v := Random(rng, 33)
-	s := NewSplit(33)
-	Deinterleave(s, v)
-	w := New(33)
-	Interleave(w, s)
-	if MaxDiff(v, w) != 0 {
-		t.Fatal("Interleave/Deinterleave round trip lost data")
 	}
 }
 

@@ -1,12 +1,11 @@
 package cvec
 
-import "fmt"
-
 // Split is a block-interleaved (split-format) complex vector: the real parts
 // of all elements live in Re and the imaginary parts in Im. This is the
 // layout the paper's middle compute stages run in, because it lets vector
 // kernels consume whole cachelines of reals and whole cachelines of
-// imaginaries instead of interleaved pairs.
+// imaginaries instead of interleaved pairs. The transforms here run
+// interleaved; Split feeds the split side of the kernel format ablation.
 type Split struct {
 	Re []float64
 	Im []float64
@@ -19,28 +18,6 @@ func NewSplit(n int) Split {
 
 // Len returns the number of complex elements.
 func (s Split) Len() int { return len(s.Re) }
-
-// At returns element i as a complex128.
-func (s Split) At(i int) complex128 { return complex(s.Re[i], s.Im[i]) }
-
-// Set stores c at index i.
-func (s Split) Set(i int, c complex128) {
-	s.Re[i] = real(c)
-	s.Im[i] = imag(c)
-}
-
-// Slice returns the sub-vector [lo, hi) sharing storage with s.
-func (s Split) Slice(lo, hi int) Split {
-	return Split{Re: s.Re[lo:hi], Im: s.Im[lo:hi]}
-}
-
-// Clone returns a deep copy of s.
-func (s Split) Clone() Split {
-	c := NewSplit(s.Len())
-	copy(c.Re, s.Re)
-	copy(c.Im, s.Im)
-	return c
-}
 
 // ToVec converts s to a complex-interleaved vector.
 func (s Split) ToVec() Vec {
@@ -59,51 +36,4 @@ func FromVec(v Vec) Split {
 		s.Im[i] = imag(c)
 	}
 	return s
-}
-
-// CopySplit copies src into dst; the lengths must match.
-func CopySplit(dst, src Split) {
-	if dst.Len() != src.Len() {
-		panic(fmt.Sprintf("cvec: CopySplit length mismatch %d != %d", dst.Len(), src.Len()))
-	}
-	copy(dst.Re, src.Re)
-	copy(dst.Im, src.Im)
-}
-
-// Interleave writes the complex-interleaved representation of src into dst.
-// dst must have length src.Len().
-func Interleave(dst Vec, src Split) {
-	if len(dst) != src.Len() {
-		panic(fmt.Sprintf("cvec: Interleave length mismatch %d != %d", len(dst), src.Len()))
-	}
-	for i := range dst {
-		dst[i] = complex(src.Re[i], src.Im[i])
-	}
-}
-
-// Deinterleave writes the split representation of src into dst.
-// dst must have length len(src).
-func Deinterleave(dst Split, src Vec) {
-	if dst.Len() != len(src) {
-		panic(fmt.Sprintf("cvec: Deinterleave length mismatch %d != %d", dst.Len(), len(src)))
-	}
-	for i, c := range src {
-		dst.Re[i] = real(c)
-		dst.Im[i] = imag(c)
-	}
-}
-
-// MaxDiffSplit returns the maximum elementwise modulus difference between a
-// and b, which must have equal length.
-func MaxDiffSplit(a, b Split) float64 {
-	if a.Len() != b.Len() {
-		panic(fmt.Sprintf("cvec: MaxDiffSplit length mismatch %d != %d", a.Len(), b.Len()))
-	}
-	var m float64
-	for i := range a.Re {
-		if d := cmplxAbs(complex(a.Re[i]-b.Re[i], a.Im[i]-b.Im[i])); d > m {
-			m = d
-		}
-	}
-	return m
 }

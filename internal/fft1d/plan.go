@@ -65,17 +65,10 @@ type Plan struct {
 
 	// kindPow2: radices of each Stockham stage, outermost first, and the
 	// per-stage twiddles for each direction (index 0 forward, 1 inverse),
-	// built lazily. The split-format drivers run their own stage chain
-	// (splitRadices): there is no split radix-16 codelet and the split
-	// radix-8 one underruns the radix-4 pair it replaces, so split plans
-	// prefer radix-4 chains while the interleaved chain uses the fused
-	// radix-16 codelets.
-	radices      []int
-	splitRadices []int
-	stageOnce    [2]sync.Once
-	stages       [2][]kernels.StageTwiddles
-	splitOnce    [2]sync.Once
-	splitStages  [2][]kernels.SplitTwiddles
+	// built lazily.
+	radices   []int
+	stageOnce [2]sync.Once
+	stages    [2][]kernels.StageTwiddles
 
 	// kindMixed: n = f · rest.
 	f, rest  int
@@ -113,8 +106,7 @@ func NewPlan(n int) *Plan { return NewPlanRadix(n, 0) }
 // trailing radix-4 stage reserved for store folding, see pow2Radices).
 // Lower radices make more passes over the buffer and exist for tuning and
 // ablation. maxRadix only affects power-of-two sizes > 8; other sizes share
-// one plan. The cap applies to the interleaved chain; split-format drivers
-// run a radix-4-preferring chain of their own regardless (see splitChain).
+// one plan.
 func NewPlanRadix(n, maxRadix int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft1d: NewPlanRadix(%d): size must be ≥ 1", n))
@@ -171,7 +163,6 @@ func buildPlan(n, maxRadix int) *Plan {
 		p.kind = kindPow2
 		p.maxRadix = maxRadix
 		p.radices = pow2Radices(n, maxRadix)
-		p.splitRadices = splitChain(n, maxRadix)
 	default:
 		f := smallestCodeletFactor(n)
 		if f == 0 {
@@ -272,19 +263,6 @@ func pow2Radices(n, maxRadix int) []int {
 	return r
 }
 
-// splitChain returns the split-format stage chain. The split drivers have
-// no radix-16 codelet (the fused butterfly's 64 live re/im accumulators
-// spill far past the 16-register file) and the split radix-8 codelet
-// underruns two radix-4 passes on even k, so the split chain prefers
-// radix-4 stages, keeping a single leading radix-8 only to absorb odd k
-// without a radix-2 pass.
-func splitChain(n, maxRadix int) []int {
-	if maxRadix > 8 {
-		maxRadix = 8
-	}
-	return pow2Radices(n, maxRadix)
-}
-
 // smallestCodeletFactor returns the preferred factor to peel from composite
 // n: the largest codelet size in {8,4,2,3,5,7} dividing n, else the smallest
 // prime factor ≤ 31; 0 if n is prime.
@@ -325,24 +303,7 @@ func (p *Plan) stageTwiddles(sign int) []kernels.StageTwiddles {
 	return p.stages[i]
 }
 
-// splitTwiddles returns the split-format stage twiddles for direction sign.
-// They follow splitRadices, not the interleaved chain — the two chains
-// diverge once the interleaved side uses fused radix-16 stages.
-func (p *Plan) splitTwiddles(sign int) []kernels.SplitTwiddles {
-	i := signIdx(sign)
-	p.splitOnce[i].Do(func() {
-		st := make([]kernels.SplitTwiddles, len(p.splitRadices))
-		n1 := p.n
-		for s, r := range p.splitRadices {
-			st[s] = kernels.NewSplitTwiddles(kernels.NewStageTwiddles(n1, r, sign))
-			n1 /= r
-		}
-		p.splitStages[i] = st
-	})
-	return p.splitStages[i]
-}
-
-// FoldRadix reports whether the plan's interleaved stage chain ends in a
+// FoldRadix reports whether the plan's stage chain ends in a
 // stage the stage-graph store leg can absorb: the trailing radix-4 stage of
 // a power-of-two chain, whose table twiddles are trivial (m = 1 at the last
 // stage, so W_j[0] = 1). It returns that radix (4), or 0 when no stage can
@@ -383,7 +344,7 @@ func (p *Plan) diagTwiddles(sign int) []complex128 {
 // path threads each compute worker's private arena through the *Arena entry
 // points instead, and everything else borrows a pooled arena here. Get/Put
 // of a pointer type is allocation-free once the pool is warm.
-var arenaPool = sync.Pool{New: func() any { return kernels.NewArena(0, 0) }}
+var arenaPool = sync.Pool{New: func() any { return kernels.NewArena(0) }}
 
 func getArena() *kernels.Arena { return arenaPool.Get().(*kernels.Arena) }
 

@@ -41,24 +41,6 @@ func TestRadixPlansAgreeBatch(t *testing.T) {
 	}
 }
 
-func TestRadixPlansAgreeLanesSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	const n, mu = 512, 4
-	x := cvec.Random(rng, n*mu)
-	s := cvec.FromVec(cvec.Vec(x))
-	wantRe := make([]float64, n*mu)
-	wantIm := make([]float64, n*mu)
-	NewPlanRadix(n, 4).LanesSplit(wantRe, wantIm, s.Re, s.Im, mu, Forward)
-	gotRe := make([]float64, n*mu)
-	gotIm := make([]float64, n*mu)
-	NewPlanRadix(n, 8).LanesSplit(gotRe, gotIm, s.Re, s.Im, mu, Forward)
-	a := cvec.Split{Re: gotRe, Im: gotIm}.ToVec()
-	b := cvec.Split{Re: wantRe, Im: wantIm}.ToVec()
-	if d := cvec.MaxDiff(cvec.Vec(a), cvec.Vec(b)); d > tol*float64(n) {
-		t.Fatalf("split-lane radix-8 vs radix-4: max diff %g", d)
-	}
-}
-
 // The plan cache must key on radix for pow2 sizes and collapse it otherwise.
 func TestPlanCacheRadixKeying(t *testing.T) {
 	if NewPlanRadix(1024, 8) == NewPlanRadix(1024, 4) {

@@ -46,7 +46,8 @@ type Options struct {
 	// and gain nothing from streaming).
 	MinN int
 	// Radix caps the Stockham stage radix of the power-of-two row sub-plans
-	// (0 = default 8; 2 and 4 for tuning/ablation).
+	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 for
+	// tuning/ablation).
 	Radix int
 	// Unfused disables cross-stage pipeline fusion (each permutation
 	// drains the pipeline before the next begins); fusion is the default.
@@ -130,7 +131,7 @@ func NewPlan(n int, opts Options) (*Plan, error) {
 	if b > n {
 		b = n
 	}
-	p.bufs = stagegraph.NewBuffers(b, false, true)
+	p.bufs = stagegraph.NewBuffers(b, true)
 	p.stages = p.buildStages(nil, nil)
 	p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
 	names := make([]string, len(p.stages))

@@ -75,10 +75,6 @@ type Options struct {
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	// SplitFormat runs the DoubleBuf compute stages in block-interleaved
-	// (split) format with fused format changes in the first load and last
-	// store, as in §IV-A.
-	SplitFormat bool
 	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
 	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
 	// the higher-pass-count mixes for tuning/ablation).
@@ -137,8 +133,6 @@ type Plan struct {
 	rows1   int // rows per stage-1 block
 	xbs2    int // xb-rows per stage-2 block
 	work    []complex128
-	workRe  []float64
-	workIm  []float64
 	bufs    *stagegraph.Buffers
 	stages  []stagegraph.Stage
 	sched   *stagegraph.Schedule
@@ -191,13 +185,8 @@ func NewPlan(n, m int, opts Options) (*Plan, error) {
 		p.rows1 = largestDivisorAtMost(n, blockCap(n, opts.BufferElems/m))
 		p.xbs2 = largestDivisorAtMost(p.mb, blockCap(p.mb, opts.BufferElems/(n*mu)))
 		b := max(p.rows1*m, p.xbs2*n*mu)
-		if opts.SplitFormat {
-			p.workRe = make([]float64, n*m)
-			p.workIm = make([]float64, n*m)
-		} else {
-			p.work = make([]complex128, n*m)
-		}
-		p.bufs = stagegraph.NewBuffers(b, opts.SplitFormat, false)
+		p.work = make([]complex128, n*m)
+		p.bufs = stagegraph.NewBuffers(b, false)
 		p.stages = p.buildStages(nil, nil)
 		stagegraph.ApplyStorePolicy(p.stages,
 			opts.StorePolicy.Decide(p.destBytes(), machine.HostLLCBytes()))
@@ -208,15 +197,10 @@ func NewPlan(n, m int, opts Options) (*Plan, error) {
 		}
 		p.obs = obs.NewCollector(opts.DataWorkers, opts.ComputeWorkers, names)
 		_, p.obsUnreg = obs.Default.Register(fmt.Sprintf("fft2d/%dx%d", n, m), p.obs)
-		scratchC, scratchF := b, 0
-		if opts.SplitFormat {
-			scratchC, scratchF = 0, 2*b
-		}
 		exec, err := stagegraph.NewExecutor(stagegraph.Config{
 			DataWorkers:    opts.DataWorkers,
 			ComputeWorkers: opts.ComputeWorkers,
-			ScratchComplex: scratchC,
-			ScratchFloat:   scratchF,
+			ScratchComplex: b,
 			Obs:            p.obs,
 		})
 		if err != nil {

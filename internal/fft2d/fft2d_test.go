@@ -67,12 +67,12 @@ func TestPencilMatchesReference(t *testing.T) {
 	}
 }
 
-func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, split bool, sign int) {
+func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, sign int) {
 	t.Helper()
 	ref, _ := NewPlan(n, m, Options{Strategy: Reference})
 	db, err := NewPlan(n, m, Options{
 		Strategy: DoubleBuf, Mu: mu, BufferElems: bufElems,
-		DataWorkers: pd, ComputeWorkers: pc, SplitFormat: split,
+		DataWorkers: pd, ComputeWorkers: pc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +87,8 @@ func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, split bool, sig
 		t.Fatal(err)
 	}
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n*m) {
-		t.Errorf("doublebuf %dx%d μ=%d b=%d p=%d/%d split=%v: diff %g",
-			n, m, mu, bufElems, pd, pc, split, d)
+		t.Errorf("doublebuf %dx%d μ=%d b=%d p=%d/%d: diff %g",
+			n, m, mu, bufElems, pd, pc, d)
 	}
 }
 
@@ -102,24 +102,14 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 		{128, 128, 4, 1 << 12, 2, 2},
 		{4, 8, 4, 8, 1, 1},        // tiny blocks, several iterations
 		{8, 16, 4, 1 << 20, 1, 1}, // buffer larger than the matrix
-	} {
-		doubleBufCase(t, c.n, c.m, c.mu, c.b, c.pd, c.pc, false, fft1d.Forward)
-	}
-}
-
-func TestDoubleBufSplitMatchesReference(t *testing.T) {
-	for _, c := range []struct{ n, m, mu, b, pd, pc int }{
-		{16, 16, 4, 64, 1, 1},
-		{32, 64, 4, 256, 2, 2},
 		{64, 128, 8, 1 << 11, 2, 3},
 	} {
-		doubleBufCase(t, c.n, c.m, c.mu, c.b, c.pd, c.pc, true, fft1d.Forward)
+		doubleBufCase(t, c.n, c.m, c.mu, c.b, c.pd, c.pc, fft1d.Forward)
 	}
 }
 
 func TestDoubleBufInverse(t *testing.T) {
-	doubleBufCase(t, 32, 32, 4, 128, 2, 2, false, fft1d.Inverse)
-	doubleBufCase(t, 32, 32, 4, 128, 2, 2, true, fft1d.Inverse)
+	doubleBufCase(t, 32, 32, 4, 128, 2, 2, fft1d.Inverse)
 }
 
 func TestRoundTripThroughDoubleBuf(t *testing.T) {
@@ -249,7 +239,6 @@ func TestAllStrategiesAgreeLarger(t *testing.T) {
 	for _, opts := range []Options{
 		{Strategy: Pencil, Workers: 3},
 		{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12},
-		{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12, SplitFormat: true},
 	} {
 		p, err := NewPlan(n, m, opts)
 		if err != nil {
@@ -288,10 +277,6 @@ func Benchmark2DPencil(b *testing.B) {
 
 func Benchmark2DDoubleBuf(b *testing.B) {
 	benchPlan(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14})
-}
-
-func Benchmark2DDoubleBufSplit(b *testing.B) {
-	benchPlan(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14, SplitFormat: true})
 }
 
 func TestDoubleBufBufferSmallerThanRow(t *testing.T) {

@@ -12,9 +12,7 @@ import (
 // intermediate in the work array; stage 2 reads the intermediate and
 // produces dst in the original row-major layout. Both stages load
 // contiguous blocks, compute contiguous pencils, and store at cacheline
-// granularity; in split format the stage-1 load fuses the
-// interleaved→split conversion and the stage-2 store fuses split→
-// interleaved (§IV-A).
+// granularity.
 //
 // The graph is built once at plan time and cached: the compute closures
 // read the transform direction from p.curSign (set under the plan lock
@@ -29,7 +27,7 @@ func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
 	// ---- Stage 1: (L_{m/μ}^{mn/μ} ⊗ I_μ) (I_n ⊗ DFT_m) ----
 	s1 := stagegraph.Stage{
 		Name: "rows", Iters: n / rows, Units: rows, UnitLen: m,
-		Src: stagegraph.Endpoint{C: src},
+		Src: stagegraph.Endpoint{C: src}, Dst: stagegraph.Endpoint{C: p.work},
 		// Blocked transpose: buffer row r (global row g), block xb →
 		// work[(xb·n + g)·μ …].
 		Rot: stagegraph.Rotation{Blocks: mb, BlockLen: mu, JStride: n * mu,
@@ -38,62 +36,44 @@ func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
 	// ---- Stage 2: (L_n^{mn/μ} ⊗ I_μ) (I_{m/μ} ⊗ DFT_n ⊗ I_μ) ----
 	s2 := stagegraph.Stage{
 		Name: "cols", Iters: mb / xbs, Units: xbs, UnitLen: rowLen,
-		Dst: stagegraph.Endpoint{C: dst},
+		Src: stagegraph.Endpoint{C: p.work}, Dst: stagegraph.Endpoint{C: dst},
 		// Transpose back: buffer xb-row (global block-column g), row r →
 		// dst[(r·mb + g)·μ …] = original row-major layout.
 		Rot: stagegraph.Rotation{Blocks: n, BlockLen: mu, JStride: mb * mu,
 			Map: func(g, r int) int { return (r*mb + g) * mu }},
 	}
 
-	if p.opts.SplitFormat {
-		s1.Dst = stagegraph.Endpoint{Re: p.workRe, Im: p.workIm}
-		s2.Src = stagegraph.Endpoint{Re: p.workRe, Im: p.workIm}
+	// Store-folded stages: compute runs every Stockham sweep but the
+	// last, and the scatter leg applies the trailing trivial-twiddle
+	// radix-4 butterfly while the block is still cache-hot — one fewer
+	// full pass over the buffer per stage. StoreSign is patched per
+	// call alongside curSign.
+	if p.rowPlan.FoldRadix() == 4 && mb%4 == 0 && !p.opts.DisableStoreFold {
+		s1.StoreRadix = 4
 		s1.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
 			if lo < hi {
-				p.rowPlan.BatchSplitArena(b.Re[half][lo*m:hi*m], b.Im[half][lo*m:hi*m], hi-lo, p.curSign, a)
-			}
-		}
-		s2.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-			if lo < hi {
-				s, e := lo*rowLen, hi*rowLen
-				p.colPlan.BatchLanesSplitArena(b.Re[half][s:e], b.Im[half][s:e], hi-lo, mu, p.curSign, a)
+				p.rowPlan.BatchLanesPrefixArena(b.C[half][lo*m:hi*m], hi-lo, 1, p.curSign, a)
 			}
 		}
 	} else {
-		s1.Dst = stagegraph.Endpoint{C: p.work}
-		s2.Src = stagegraph.Endpoint{C: p.work}
-		// Store-folded stages: compute runs every Stockham sweep but the
-		// last, and the scatter leg applies the trailing trivial-twiddle
-		// radix-4 butterfly while the block is still cache-hot — one fewer
-		// full pass over the buffer per stage. StoreSign is patched per
-		// call alongside curSign.
-		if p.rowPlan.FoldRadix() == 4 && mb%4 == 0 && !p.opts.DisableStoreFold {
-			s1.StoreRadix = 4
-			s1.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-				if lo < hi {
-					p.rowPlan.BatchLanesPrefixArena(b.C[half][lo*m:hi*m], hi-lo, 1, p.curSign, a)
-				}
-			}
-		} else {
-			s1.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-				if lo < hi {
-					p.rowPlan.BatchArena(b.C[half][lo*m:hi*m], hi-lo, p.curSign, a)
-				}
+		s1.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+			if lo < hi {
+				p.rowPlan.BatchArena(b.C[half][lo*m:hi*m], hi-lo, p.curSign, a)
 			}
 		}
-		if p.colPlan.FoldRadix() == 4 && n%4 == 0 && !p.opts.DisableStoreFold {
-			s2.StoreRadix = 4
-			s2.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-				if lo < hi {
-					s, e := lo*rowLen, hi*rowLen
-					p.colPlan.BatchLanesPrefixArena(b.C[half][s:e], hi-lo, mu, p.curSign, a)
-				}
+	}
+	if p.colPlan.FoldRadix() == 4 && n%4 == 0 && !p.opts.DisableStoreFold {
+		s2.StoreRadix = 4
+		s2.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+			if lo < hi {
+				s, e := lo*rowLen, hi*rowLen
+				p.colPlan.BatchLanesPrefixArena(b.C[half][s:e], hi-lo, mu, p.curSign, a)
 			}
-		} else {
-			s2.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-				if lo < hi {
-					p.colPlan.BatchLanesArena(b.C[half][lo*rowLen:hi*rowLen], hi-lo, mu, p.curSign, a)
-				}
+		}
+	} else {
+		s2.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+			if lo < hi {
+				p.colPlan.BatchLanesArena(b.C[half][lo*rowLen:hi*rowLen], hi-lo, mu, p.curSign, a)
 			}
 		}
 	}

@@ -78,9 +78,6 @@ type Options struct {
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	// SplitFormat runs the DoubleBuf compute stages in block-interleaved
-	// format with fused conversions at the boundary stages (§IV-A).
-	SplitFormat bool
 	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
 	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
 	// the higher-pass-count mixes for tuning/ablation).
@@ -141,10 +138,6 @@ type Plan struct {
 	// fully in parallel). Stages and schedule compile once at plan time;
 	// per call only the src/dst endpoints and curSign are patched.
 	work    []complex128
-	workRe  []float64
-	workIm  []float64
-	wrk2Re  []float64
-	wrk2Im  []float64
 	bufs    *stagegraph.Buffers
 	stages  []stagegraph.Stage
 	sched   *stagegraph.Schedule
@@ -187,7 +180,6 @@ func NewPlan(k, n, m int, opts Options) (*Plan, error) {
 			return nil, fmt.Errorf("fft3d: μ=%d does not divide m=%d", mu, m)
 		}
 		p.mb = m / mu
-		total := k * n * m
 		// Besides the buffer-capacity cap, blocks are kept small enough
 		// that each stage runs at least minStageIters pipeline iterations:
 		// fused steady-state occupancy is I/(I+S+1), so a deep-enough
@@ -196,15 +188,8 @@ func NewPlan(k, n, m int, opts Options) (*Plan, error) {
 		p.units2 = largestDivisorAtMost(p.mb*k, blockCap(p.mb*k, opts.BufferElems/(n*mu)))
 		p.units3 = largestDivisorAtMost(n*p.mb, blockCap(n*p.mb, opts.BufferElems/(k*mu)))
 		b := maxInt(p.rows1*m, maxInt(p.units2*n*mu, p.units3*k*mu))
-		if opts.SplitFormat {
-			p.workRe = make([]float64, total)
-			p.workIm = make([]float64, total)
-			p.wrk2Re = make([]float64, total)
-			p.wrk2Im = make([]float64, total)
-		} else {
-			p.work = make([]complex128, total)
-		}
-		p.bufs = stagegraph.NewBuffers(b, opts.SplitFormat, false)
+		p.work = make([]complex128, k*n*m)
+		p.bufs = stagegraph.NewBuffers(b, false)
 		p.stages = p.buildStages(nil, nil)
 		stagegraph.ApplyStorePolicy(p.stages,
 			opts.StorePolicy.Decide(p.destBytes(), machine.HostLLCBytes()))
@@ -215,15 +200,10 @@ func NewPlan(k, n, m int, opts Options) (*Plan, error) {
 		}
 		p.obs = obs.NewCollector(opts.DataWorkers, opts.ComputeWorkers, names)
 		_, p.obsUnreg = obs.Default.Register(fmt.Sprintf("fft3d/%dx%dx%d", k, n, m), p.obs)
-		scratchC, scratchF := b, 0
-		if opts.SplitFormat {
-			scratchC, scratchF = 0, 2*b
-		}
 		exec, err := stagegraph.NewExecutor(stagegraph.Config{
 			DataWorkers:    opts.DataWorkers,
 			ComputeWorkers: opts.ComputeWorkers,
-			ScratchComplex: scratchC,
-			ScratchFloat:   scratchF,
+			ScratchComplex: b,
 			Obs:            p.obs,
 		})
 		if err != nil {

@@ -81,6 +81,8 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 		{4, 16, 16, 4, 1 << 20, 1, 1}, // one block per stage
 		{2, 4, 8, 4, 8, 1, 1},         // minimal blocks, many iterations
 		{16, 16, 16, 16, 512, 3, 2},   // μ = m/1? μ=16=m
+		{8, 16, 16, 4, 256, 2, 2},
+		{16, 8, 32, 8, 512, 2, 3},
 	} {
 		strategyCase(t, c.k, c.n, c.m, Options{
 			Strategy: DoubleBuf, Mu: c.mu, BufferElems: c.b,
@@ -89,24 +91,9 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 	}
 }
 
-func TestDoubleBufSplitMatchesReference(t *testing.T) {
-	for _, c := range []struct {
-		k, n, m, mu, b, pd, pc int
-	}{
-		{8, 8, 8, 4, 64, 1, 1},
-		{8, 16, 16, 4, 256, 2, 2},
-		{16, 8, 32, 8, 512, 2, 3},
-	} {
-		strategyCase(t, c.k, c.n, c.m, Options{
-			Strategy: DoubleBuf, Mu: c.mu, BufferElems: c.b,
-			DataWorkers: c.pd, ComputeWorkers: c.pc, SplitFormat: true,
-		}, fft1d.Forward)
-	}
-}
-
 func TestDoubleBufInverseAndRoundTrip(t *testing.T) {
 	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
-	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf, SplitFormat: true}, fft1d.Inverse)
+	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf}, fft1d.Inverse)
 
 	const k, n, m = 16, 16, 16
 	p, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
@@ -308,9 +295,6 @@ func BenchmarkDecompositions(b *testing.B) {
 	})
 	b.Run("doublebuf", func(b *testing.B) {
 		benchStrategy(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14}, k, n, m)
-	})
-	b.Run("doublebuf-split", func(b *testing.B) {
-		benchStrategy(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14, SplitFormat: true}, k, n, m)
 	})
 }
 

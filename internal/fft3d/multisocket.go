@@ -133,7 +133,7 @@ func NewDistPlan(k, n, m, sockets int, opts Options) (*DistPlan, error) {
 	p.fronts = make([][]stagegraph.Stage, sockets)
 	p.backs = make([][]stagegraph.Stage, sockets)
 	for s := 0; s < sockets; s++ {
-		p.bufs[s] = stagegraph.NewBuffers(b, false, false)
+		p.bufs[s] = stagegraph.NewBuffers(b, false)
 		p.fronts[s], p.backs[s] = p.socketStages(s)
 		exec, err := stagegraph.NewExecutor(stagegraph.Config{
 			DataWorkers:    opts.DataWorkers,

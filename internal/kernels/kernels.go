@@ -4,12 +4,12 @@
 // Two families of kernels exist, mirroring the paper's "cache aware FFT"
 // discussion (§IV-A):
 //
-//   - complex-interleaved Stockham butterfly stages (Radix2Step, Radix4Step)
-//     operating on []complex128;
+//   - complex-interleaved Stockham butterfly stages (Radix2Step, Radix4Step,
+//     …) operating on []complex128, which every transform runs;
 //   - block-interleaved (split-format) stages (SplitRadix2Step,
-//     SplitRadix4Step) operating on separate real/imaginary arrays, which is
-//     the layout the paper uses for its middle compute stages so that SIMD
-//     lanes consume whole cachelines of reals and imaginaries.
+//     SplitRadix4Step, …) operating on separate real/imaginary arrays, the
+//     layout the paper uses for its middle compute stages. They are pure Go
+//     and serve only as the split side of the format ablation (split.go).
 //
 // All stages are Stockham autosort steps: they read from src and write to
 // dst with the classic decimation-in-frequency butterfly, so no bit-reversal

@@ -87,9 +87,9 @@ func TestSplitRadix16MatchesTwoPassRadix4(t *testing.T) {
 		midRe, midIm := make([]float64, n), make([]float64, n)
 		wantRe, wantIm := make([]float64, n), make([]float64, n)
 		twA := NewSplitTwiddles(NewStageTwiddles(n1, 4, sign))
-		SplitRadix4StepGeneric(midRe, midIm, srcRe, srcIm, n1/4, s, sign, twA)
+		SplitRadix4Step(midRe, midIm, srcRe, srcIm, n1/4, s, sign, twA)
 		twB := NewSplitTwiddles(NewStageTwiddles(n1/4, 4, sign))
-		SplitRadix4StepGeneric(wantRe, wantIm, midRe, midIm, n1/16, 4*s, sign, twB)
+		SplitRadix4Step(wantRe, wantIm, midRe, midIm, n1/16, 4*s, sign, twB)
 		gotRe, gotIm := make([]float64, n), make([]float64, n)
 		tw := NewSplitTwiddles(NewStageTwiddles(n1, 16, sign))
 		SplitRadix16Step(gotRe, gotIm, srcRe, srcIm, m, s, sign, tw)

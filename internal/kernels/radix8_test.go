@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"math/cmplx"
 	"testing"
 
 	"repro/internal/cvec"
@@ -150,20 +149,6 @@ func TestBatchRadix8StepMatchesPerPencil(t *testing.T) {
 		t.Fatalf("BatchRadix8Step differs from per-pencil: %g", d)
 	}
 
-	stw := NewSplitTwiddles(tw)
-	s0 := cvec.FromVec(cvec.Vec(x))
-	gotRe := make([]float64, len(x))
-	gotIm := make([]float64, len(x))
-	BatchSplitRadix8Step(gotRe, gotIm, s0.Re, s0.Im, pencils, stride, n/8, 1, Forward, stw)
-	// The split and interleaved sweeps may dispatch to different codelets
-	// (with different FMA contraction), so equality holds to rounding, not
-	// bitwise.
-	for i := range want {
-		d := cmplx.Abs(complex(gotRe[i], gotIm[i]) - want[i])
-		if d > 1e-12*(1+cmplx.Abs(want[i])) {
-			t.Fatalf("BatchSplitRadix8Step differs from interleaved at %d by %g", i, d)
-		}
-	}
 }
 
 // BenchmarkBatchRadix8Step reports the sweep's streaming bandwidth (read +

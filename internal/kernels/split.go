@@ -2,9 +2,12 @@ package kernels
 
 // Split-format (block-interleaved) Stockham stages. These are the same
 // butterflies as Radix2Step/Radix4Step but over separate real and imaginary
-// float64 arrays. This is the layout the paper's compute stages use so that
-// vector units consume whole cachelines of reals followed by whole
-// cachelines of imaginaries (§IV-A, "Cache aware FFT").
+// float64 arrays, the layout the paper's compute stages use so that vector
+// units consume whole cachelines of reals followed by whole cachelines of
+// imaginaries (§IV-A, "Cache aware FFT"). No transform runs them: measured
+// end to end, the interleaved codelets beat the split format on every
+// shape, so these pure-Go bodies remain only as the split side of the
+// format ablation (BenchmarkKernelSplit vs BenchmarkKernelInterleaved).
 
 // SplitTwiddles holds split-format per-stage twiddles.
 type SplitTwiddles struct {
@@ -100,7 +103,7 @@ func SplitRadix2Step(dstRe, dstIm, srcRe, srcIm []float64, m, s int, tw SplitTwi
 
 // SplitRadix4Step performs one Stockham radix-4 stage in split format.
 // sign must match the direction used to build tw.
-func SplitRadix4StepGeneric(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
+func SplitRadix4Step(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
 	jim := 1.0
 	if sign == Forward {
 		jim = -1.0
@@ -154,7 +157,7 @@ func SplitRadix4StepGeneric(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int
 // SplitRadix8Step performs one Stockham radix-8 stage in split format.
 // sign must match the direction used to build tw. Same butterfly as
 // Radix8Step (even/odd split into two DFT₄s) over separate re/im planes.
-func SplitRadix8StepGeneric(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
+func SplitRadix8Step(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
 	jim := 1.0
 	if sign == Forward {
 		jim = -1.0
@@ -260,7 +263,7 @@ func SplitRadix8StepGeneric(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int
 // SplitRadix16Step performs one fused radix-16 Stockham stage (two radix-4
 // rank stages in registers, see Radix16Step) in split format. sign must
 // match the direction used to build tw.
-func SplitRadix16StepGeneric(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
+func SplitRadix16Step(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
 	jim := 1.0
 	if sign == Forward {
 		jim = -1.0

@@ -37,38 +37,6 @@ func TestScatterBlocksNTMatchesRegular(t *testing.T) {
 	}
 }
 
-func TestScatterBlocksSplitNTMatchesRegular(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	cases := []struct{ blocks, blockLen, dstOff, dstStride int }{
-		{4, 8, 0, 32},  // aligned (NT path: blockLen%4==0, off%4==0)
-		{8, 4, 8, 16},  // exactly one 32-byte store per block
-		{4, 8, 2, 32},  // misaligned offset -> fallback
-		{4, 6, 0, 32},  // blockLen%4 != 0 -> fallback
-		{2, 4, 0, 10},  // stride%4 != 0 -> fallback
-		{3, 16, 4, 52}, // aligned again
-	}
-	for _, c := range cases {
-		need := c.dstOff + (c.blocks-1)*c.dstStride + c.blockLen
-		n := c.blocks * c.blockLen
-		srcRe := make([]float64, n)
-		srcIm := make([]float64, n)
-		for i := range srcRe {
-			srcRe[i], srcIm[i] = r.NormFloat64(), r.NormFloat64()
-		}
-		wantRe := make([]float64, need+5)
-		wantIm := make([]float64, need+5)
-		gotRe := make([]float64, need+5)
-		gotIm := make([]float64, need+5)
-		ScatterBlocksSplit(wantRe, wantIm, srcRe, srcIm, c.blocks, c.blockLen, c.dstOff, c.dstStride)
-		ScatterBlocksSplitNT(gotRe, gotIm, srcRe, srcIm, c.blocks, c.blockLen, c.dstOff, c.dstStride)
-		for i := range wantRe {
-			if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
-				t.Fatalf("case %+v: mismatch at %d", c, i)
-			}
-		}
-	}
-}
-
 // Out-of-bounds patterns must panic exactly like the regular scatters
 // (via the fallback), never write wild memory.
 func TestScatterBlocksNTOutOfBoundsPanics(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +74,7 @@ type PeerStats struct {
 	Chunks  int64
 	Retries int64
 	sumNs   int64
-	buckets [64]int64 // bucket i counts transfers in [2^i, 2^(i+1)) ns
+	buckets [64]uint64 // log₂ chunk latency buckets (see Log2Quantile)
 }
 
 // ObservePeerChunk records one chunk transfer to or from peer.
@@ -130,40 +129,12 @@ func (s *ShardMetrics) PeerSnapshots() []PeerSnapshot {
 	for peer, p := range s.peers {
 		out = append(out, PeerSnapshot{
 			Peer: peer, Bytes: p.Bytes, Chunks: p.Chunks, Retries: p.Retries,
-			P50Ns: bucketQuantile(&p.buckets, 0.50),
-			P99Ns: bucketQuantile(&p.buckets, 0.99),
+			P50Ns: Log2Quantile(&p.buckets, 0.50),
+			P99Ns: Log2Quantile(&p.buckets, 0.99),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
-}
-
-// bucketQuantile returns the upper bound of the log₂ bucket holding the
-// q-th observation (0 when empty) — coarse within 2×, like the serving
-// layer's quantiles.
-func bucketQuantile(counts *[64]int64, q float64) int64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum > rank {
-			if i >= 62 {
-				return 1 << 62
-			}
-			return 1 << uint(i+1)
-		}
-	}
-	return 1 << 62
 }
 
 // SetStragglerRatio records the most recent job's max/mean worker busy
@@ -259,22 +230,12 @@ func (s *ShardMetrics) WritePrometheus(w io.Writer) error {
 		}
 		p.Family("fft_exchange_chunk_latency_seconds", "Per-peer chunk transfer latency.", "histogram")
 		for _, pc := range peers {
-			var cum float64
-			last := -1
-			for i, b := range pc.buckets {
-				if b > 0 {
-					last = i
-				}
+			var buckets [64]float64
+			for i, c := range pc.buckets {
+				buckets[i] = float64(c)
 			}
-			for i := 0; i <= last; i++ {
-				cum += float64(pc.buckets[i])
-				ub := float64(uint64(1)<<uint(i+1)) / 1e9
-				p.Sample("fft_exchange_chunk_latency_seconds_bucket", cum,
-					"le", strconv.FormatFloat(ub, 'g', -1, 64), "peer", pc.peer)
-			}
-			p.Sample("fft_exchange_chunk_latency_seconds_bucket", float64(pc.Chunks), "le", "+Inf", "peer", pc.peer)
-			p.Sample("fft_exchange_chunk_latency_seconds_sum", float64(pc.sumNs)/1e9, "peer", pc.peer)
-			p.Sample("fft_exchange_chunk_latency_seconds_count", float64(pc.Chunks), "peer", pc.peer)
+			p.Log2Histogram("fft_exchange_chunk_latency_seconds", &buckets,
+				float64(pc.sumNs)/1e9, float64(pc.Chunks), "peer", pc.peer)
 		}
 	}
 

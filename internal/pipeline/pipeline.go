@@ -18,7 +18,7 @@
 // precedes the load of iteration s on the same half (§III-C).
 //
 // The engine is callback-based and owns no buffers: callers close over
-// their own buffer pair (complex-interleaved or split format), and each hook
+// their own buffer pair, and each hook
 // partitions its index space by (worker, workers). Barriers separate steps,
 // matching the paper's #pragma omp barrier usage.
 package pipeline

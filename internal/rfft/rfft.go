@@ -60,7 +60,8 @@ type Options struct {
 	DataWorkers    int
 	ComputeWorkers int
 	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
-	// (0 = default 8; 2 and 4 select the higher-pass-count mixes).
+	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 select the
+	// higher-pass-count mixes).
 	Radix int
 	// Unfused disables cross-stage pipeline fusion (the A/B baseline).
 	Unfused bool
@@ -170,7 +171,7 @@ func (e *engine) init(label string, o Options, elems int, fwd, inv []stagegraph.
 	e.fwd, e.inv = fwd, inv
 	e.fwdSched = stagegraph.Compile(fwd, !o.Unfused)
 	e.invSched = stagegraph.Compile(inv, !o.Unfused)
-	e.bufs = stagegraph.NewBuffers(elems, false, true)
+	e.bufs = stagegraph.NewBuffers(elems, true)
 	e.obsF = obs.NewCollector(o.DataWorkers, o.ComputeWorkers, stageNames(fwd))
 	e.obsI = obs.NewCollector(o.DataWorkers, o.ComputeWorkers, stageNames(inv))
 	_, e.unregF = obs.Default.Register(label, e.obsF)
@@ -207,7 +208,7 @@ func (e *engine) run(stages []stagegraph.Stage, sched *stagegraph.Schedule, col 
 // than ever before arrives; the steady state reuses the retained buffers.
 func (e *engine) ensureBatch(elems int) {
 	if elems > e.bufs.Elems {
-		e.bufs = stagegraph.NewBuffers(elems, false, true)
+		e.bufs = stagegraph.NewBuffers(elems, true)
 	}
 }
 

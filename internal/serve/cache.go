@@ -16,7 +16,7 @@ import (
 )
 
 // PlanKey identifies one cached plan. Cfg carries the execution shape —
-// strategy, worker split, buffer size, split format, radix, all the
+// strategy, worker split, buffer size, radix, all the
 // machine-derived parameters — so plans built for different machines or
 // ablation settings never collide. Real selects the real-input (r2c/c2r)
 // pipeline over the complex one; the dims then describe the real grid and
@@ -53,6 +53,9 @@ func (k PlanKey) Validate() error {
 	default:
 		return fmt.Errorf("serve: rank must be 1, 2 or 3, got %d", k.Rank)
 	}
+	if _, err := ElemCount(k.dims()); err != nil {
+		return err
+	}
 	if k.Real {
 		last := k.lastDim()
 		if last < 2 || last%2 != 0 {
@@ -74,17 +77,16 @@ func (k PlanKey) lastDim() int {
 	}
 }
 
+// dims returns the key's Rank dims, slowest first.
+func (k PlanKey) dims() []int { return []int{k.D0, k.D1, k.D2}[:k.Rank] }
+
 // Len returns the element count of one transform under this key: the
 // complex element count for complex plans, the real element count for real
-// plans (see SpectrumLen for the half-spectrum side).
+// plans (see SpectrumLen for the half-spectrum side). Keys reach a plan only
+// after Validate, which rejects counts ElemCount refuses, so the error is
+// not consulted here.
 func (k PlanKey) Len() int {
-	n := k.D0
-	if k.Rank >= 2 {
-		n *= k.D1
-	}
-	if k.Rank >= 3 {
-		n *= k.D2
-	}
+	n, _ := ElemCount(k.dims())
 	return n
 }
 

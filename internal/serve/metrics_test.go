@@ -11,90 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-func TestQuantileEmptyHistogram(t *testing.T) {
-	var counts [64]uint64
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := quantile(&counts, q); got != 0 {
-			t.Fatalf("quantile(empty, %v) = %v, want 0", q, got)
-		}
-	}
-}
-
-func TestQuantileSingleBucket(t *testing.T) {
-	var counts [64]uint64
-	counts[5] = 10 // latencies in [32, 64) ns → upper bound 64ns
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := quantile(&counts, q); got != 64 {
-			t.Fatalf("quantile(single bucket, %v) = %v, want 64ns", q, got)
-		}
-	}
-}
-
-func TestQuantileExtremes(t *testing.T) {
-	var counts [64]uint64
-	counts[3] = 50  // [8, 16) ns
-	counts[10] = 50 // [1024, 2048) ns
-	if got := quantile(&counts, 0); got != 16 {
-		t.Fatalf("q=0 = %v, want first bucket bound 16ns", got)
-	}
-	if got := quantile(&counts, 1); got != 2048 {
-		t.Fatalf("q=1 = %v, want last bucket bound 2048ns", got)
-	}
-	// q=0.5: rank 50 falls in the second bucket (cum 50 is not > 50 at
-	// bucket 3, becomes 100 > 50 at bucket 10).
-	if got := quantile(&counts, 0.5); got != 2048 {
-		t.Fatalf("q=0.5 = %v, want 2048ns", got)
-	}
-}
-
-func TestQuantileOverflowBuckets(t *testing.T) {
-	// Buckets 62 and 63 would overflow time.Duration at 1<<63; the bound
-	// is clamped to 1<<62.
-	for _, i := range []int{62, 63} {
-		var counts [64]uint64
-		counts[i] = 1
-		if got := quantile(&counts, 0.5); got != time.Duration(1)<<62 {
-			t.Fatalf("quantile(bucket %d) = %v, want 1<<62 ns", i, got)
-		}
-	}
-}
-
-func TestQuantileSyntheticDistribution(t *testing.T) {
-	// 900 fast observations around 1µs, 91 around 1ms, 9 around 1s:
-	// p50 must land in the fast band, p99 in the millisecond band (rank
-	// 990 < cumulative 991), and the max (q=1) in the second band.
-	// Round-trips through observeLatency to cover the bucketing path too.
-	var m metrics
-	for i := 0; i < 900; i++ {
-		m.observeLatency(time.Microsecond)
-	}
-	for i := 0; i < 91; i++ {
-		m.observeLatency(time.Millisecond)
-	}
-	for i := 0; i < 9; i++ {
-		m.observeLatency(time.Second)
-	}
-	var counts [64]uint64
-	for i := range counts {
-		counts[i] = m.latency[i].Load()
-	}
-	p50 := quantile(&counts, 0.50)
-	p99 := quantile(&counts, 0.99)
-	max := quantile(&counts, 1)
-	if p50 < time.Microsecond || p50 > 2*time.Microsecond {
-		t.Fatalf("p50 = %v, want within 2× of 1µs", p50)
-	}
-	if p99 < time.Millisecond || p99 > 2*time.Millisecond {
-		t.Fatalf("p99 = %v, want within 2× of 1ms", p99)
-	}
-	if max < time.Second || max > 2*time.Second {
-		t.Fatalf("max = %v, want within 2× of 1s", max)
-	}
-	if got := m.latencySamples.Load(); got != 1000 {
-		t.Fatalf("samples = %d, want 1000", got)
-	}
-}
-
 func TestObserveLatencyZeroDuration(t *testing.T) {
 	var m metrics
 	m.observeLatency(0)

@@ -423,3 +423,42 @@ func numGoroutineStable(t *testing.T, want int) int {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// Shapes arrive from the network, so the element count must be checked,
+// not multiplied blindly: a product that wraps (2^32·2^32 = 0 mod 2^64)
+// would otherwise pass as an empty transform and size the plan from the
+// raw dims.
+func TestElemCountRejectsOverflow(t *testing.T) {
+	for _, c := range []struct {
+		dims []int
+		want int
+		ok   bool
+	}{
+		{[]int{8}, 8, true},
+		{[]int{4, 8, 16}, 512, true},
+		{[]int{maxElems}, maxElems, true},
+		{[]int{maxElems + 1}, 0, false},
+		{[]int{1 << 32, 1 << 32}, 0, false},   // wraps to 0
+		{[]int{1<<32 + 1, 1 << 32}, 0, false}, // wraps to 2^32
+		{[]int{1 << 30, 1 << 30}, 0, false},   // fits an int, above the limit
+		{[]int{1 << 20, 1 << 20, 1 << 20}, 0, false},
+		{[]int{4, 0}, 0, false},
+		{[]int{-2, -4}, 0, false},
+	} {
+		n, err := ElemCount(c.dims)
+		if (err == nil) != c.ok || n != c.want {
+			t.Errorf("ElemCount(%v) = %d, %v; want %d, ok=%v", c.dims, n, err, c.want, c.ok)
+		}
+	}
+
+	s := New(Options{Config: smallCfg()})
+	defer s.Shutdown(context.Background())
+	err := s.Do(context.Background(), Request{Rank: 2, Dims: [3]int{1 << 32, 1 << 32}})
+	if err == nil {
+		t.Fatal("Do accepted dims whose product wraps to 0")
+	}
+	pc := NewPlanCache(2)
+	if _, _, err := pc.Get(PlanKey{Rank: 2, D0: 1 << 32, D1: 1 << 32, Cfg: smallCfg()}); err == nil {
+		t.Fatal("PlanCache.Get accepted a key whose element count wraps")
+	}
+}

@@ -110,7 +110,7 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 	p.front, p.back = spec.Stages()
 	p.schedF = stagegraph.Compile(p.front, true)
 	p.schedB = stagegraph.Compile(p.back, true)
-	p.bufs = stagegraph.NewBuffers(scratch, false, false)
+	p.bufs = stagegraph.NewBuffers(scratch, false)
 	p.exec, err = stagegraph.NewExecutor(stagegraph.Config{
 		DataWorkers:    dataWorkers,
 		ComputeWorkers: computeWorkers,

@@ -34,13 +34,12 @@ type Config struct {
 	// YieldInData and LockThreads as in pipeline.Config.
 	YieldInData bool
 	LockThreads bool
-	// ScratchComplex and ScratchFloat pre-size every compute worker's
-	// scratch arena (in complex128 / float64 elements). Zero leaves the
-	// arenas empty; they grow on first use and are retained, so the steady
-	// state is allocation-free either way. Plans pass their block footprint
-	// here so the slabs are sized at plan time.
+	// ScratchComplex pre-sizes every compute worker's scratch arena (in
+	// complex128 elements). Zero leaves the arenas empty; they grow on
+	// first use and are retained, so the steady state is allocation-free
+	// either way. Plans pass their block footprint here so the slab is
+	// sized at plan time.
 	ScratchComplex int
-	ScratchFloat   int
 }
 
 // Stats summarizes one graph execution — the whole transform, not one
@@ -252,7 +251,7 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		obs:            cfg.Obs,
 	}
 	for i := range e.arenas {
-		e.arenas[i] = kernels.NewArena(cfg.ScratchComplex, cfg.ScratchFloat)
+		e.arenas[i] = kernels.NewArena(cfg.ScratchComplex)
 	}
 	for w := 0; w < cfg.DataWorkers; w++ {
 		go e.worker(affinity.DataRole, w, cfg.DataWorkers)

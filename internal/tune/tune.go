@@ -1,6 +1,6 @@
 // Package tune searches the paper's execution parameters — buffer size b,
-// the p_d : p_c worker split, cacheline granularity μ and the compute
-// format — empirically on the host, the way FFTW's planner or SPIRAL's
+// the p_d : p_c worker split, cacheline granularity μ and the stage radix
+// mix — empirically on the host, the way FFTW's planner or SPIRAL's
 // search would. The paper fixes these by rule (b = LLC/2, half the threads
 // per role); the tuner exists for hosts whose cache/thread geometry is
 // unknown, and its results can be persisted as "wisdom" (JSON) and replayed.
@@ -19,13 +19,12 @@ import (
 
 // Candidate is one point in the search space.
 type Candidate struct {
-	BufferElems    int  `json:"buffer_elems"`
-	DataWorkers    int  `json:"data_workers"`
-	ComputeWorkers int  `json:"compute_workers"`
-	Mu             int  `json:"mu"`
-	SplitFormat    bool `json:"split_format"`
+	BufferElems    int `json:"buffer_elems"`
+	DataWorkers    int `json:"data_workers"`
+	ComputeWorkers int `json:"compute_workers"`
+	Mu             int `json:"mu"`
 	// Radix caps the Stockham stage radix of the pow2 sub-plans (0 = the
-	// default 8; omitted from old wisdom files, which decode as 0).
+	// default 16; omitted from old wisdom files, which decode as 0).
 	Radix int `json:"radix,omitempty"`
 	// StorePolicy selects the block-store tier: "auto" (or empty, as in
 	// old wisdom files), "regular", or "nt" — see stagegraph.StorePolicy.
@@ -58,8 +57,8 @@ func (c Candidate) String() string {
 	if fu == "" {
 		fu = "auto"
 	}
-	return fmt.Sprintf("b=%d p_d=%d p_c=%d μ=%d split=%v radix=%d store=%s fuse=%s",
-		c.BufferElems, c.DataWorkers, c.ComputeWorkers, c.Mu, c.SplitFormat, c.Radix, sp, fu)
+	return fmt.Sprintf("b=%d p_d=%d p_c=%d μ=%d radix=%d store=%s fuse=%s",
+		c.BufferElems, c.DataWorkers, c.ComputeWorkers, c.Mu, c.Radix, sp, fu)
 }
 
 // storePolicy parses the candidate's store-policy axis.
@@ -93,9 +92,8 @@ type Space struct {
 	Buffers      []int
 	WorkerSplits [][2]int // {p_d, p_c}
 	Mus          []int
-	SplitFormats []bool
 	// Radixes lists the pow2 radix caps to try (nil/empty = {0}, the
-	// default radix-8 mix only).
+	// default radix-16 mix only).
 	Radixes []int
 	// StorePolicies lists the store tiers to try ("auto", "regular",
 	// "nt"); nil/empty = {"auto"}.
@@ -108,7 +106,7 @@ type Space struct {
 // DefaultSpace returns a modest space appropriate for `threads` hardware
 // threads: buffer sizes bracketing typical LLC halves, balanced and skewed
 // worker splits, both cacheline granularities (μ = 4, one 64 B line, and
-// μ = 8), both compute formats, and the radix-8 vs radix-4 sweep mixes.
+// μ = 8), and the radix-16, radix-8 and radix-4 sweep mixes.
 func DefaultSpace(threads int) Space {
 	if threads < 2 {
 		threads = 2
@@ -128,7 +126,6 @@ func DefaultSpace(threads int) Space {
 		Buffers:       []int{1 << 12, 1 << 14, 1 << 16},
 		WorkerSplits:  splits,
 		Mus:           []int{4, 8},
-		SplitFormats:  []bool{false, true},
 		Radixes:       []int{16, 8, 4},
 		StorePolicies: policies,
 		Fuses:         []string{"auto", "off"},
@@ -153,15 +150,13 @@ func (s Space) candidates() []Candidate {
 	for _, b := range s.Buffers {
 		for _, ws := range s.WorkerSplits {
 			for _, mu := range s.Mus {
-				for _, sf := range s.SplitFormats {
-					for _, r := range radixes {
-						for _, sp := range policies {
-							for _, fu := range fuses {
-								out = append(out, Candidate{
-									BufferElems: b, DataWorkers: ws[0], ComputeWorkers: ws[1],
-									Mu: mu, SplitFormat: sf, Radix: r, StorePolicy: sp, Fuse: fu,
-								})
-							}
+				for _, r := range radixes {
+					for _, sp := range policies {
+						for _, fu := range fuses {
+							out = append(out, Candidate{
+								BufferElems: b, DataWorkers: ws[0], ComputeWorkers: ws[1],
+								Mu: mu, Radix: r, StorePolicy: sp, Fuse: fu,
+							})
 						}
 					}
 				}
@@ -195,7 +190,7 @@ func Tune3D(k, n, m int, space Space, reps int) (Result, []Result, error) {
 		p, err := fft3d.NewPlan(k, n, m, fft3d.Options{
 			Strategy: fft3d.DoubleBuf, Mu: c.Mu, BufferElems: c.BufferElems,
 			DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-			SplitFormat: c.SplitFormat, Radix: c.Radix, StorePolicy: sp,
+			Radix: c.Radix, StorePolicy: sp,
 			DisableStoreFold: nofold,
 		})
 		if err != nil {
@@ -239,7 +234,7 @@ func Tune2D(n, m int, space Space, reps int) (Result, []Result, error) {
 		p, err := fft2d.NewPlan(n, m, fft2d.Options{
 			Strategy: fft2d.DoubleBuf, Mu: c.Mu, BufferElems: c.BufferElems,
 			DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-			SplitFormat: c.SplitFormat, Radix: c.Radix, StorePolicy: sp,
+			Radix: c.Radix, StorePolicy: sp,
 			DisableStoreFold: nofold,
 		})
 		if err != nil {

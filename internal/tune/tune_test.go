@@ -11,7 +11,7 @@ func smallSpace() Space {
 		Buffers:      []int{256, 1024},
 		WorkerSplits: [][2]int{{1, 1}, {1, 2}},
 		Mus:          []int{4},
-		SplitFormats: []bool{false, true},
+		Radixes:      []int{16, 4},
 	}
 }
 
@@ -67,7 +67,7 @@ func TestTuneSkipsInfeasibleMu(t *testing.T) {
 
 func TestDefaultSpace(t *testing.T) {
 	s := DefaultSpace(8)
-	if len(s.Buffers) == 0 || len(s.WorkerSplits) < 2 || len(s.SplitFormats) != 2 {
+	if len(s.Buffers) == 0 || len(s.WorkerSplits) < 2 || len(s.Radixes) < 2 {
 		t.Fatalf("space too small: %+v", s)
 	}
 	s1 := DefaultSpace(1)
@@ -85,7 +85,7 @@ func TestCandidateString(t *testing.T) {
 
 func TestWisdomRoundTrip(t *testing.T) {
 	w := NewWisdom()
-	c := Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 4, SplitFormat: true}
+	c := Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 4, Radix: 8}
 	w.Put(Key3D(512, 512, 512), c)
 	w.Put(Key2D(1024, 1024), Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 3, Mu: 4})
 
@@ -106,6 +106,12 @@ func TestWisdomRoundTrip(t *testing.T) {
 	}
 	if _, ok := w2.Get("3d:1:1:1"); ok {
 		t.Fatal("Get returned a missing key")
+	}
+	// Wisdom written when the tuner still searched the compute format
+	// carries a "split_format" field; it must keep loading.
+	old := `{"entries":{"2d:4:4":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4,"split_format":true}}}`
+	if _, err := LoadWisdom(strings.NewReader(old)); err != nil {
+		t.Fatalf("wisdom with a split_format field rejected: %v", err)
 	}
 }
 
@@ -129,7 +135,7 @@ func TestWisdomRejectsCorruption(t *testing.T) {
 
 func TestStorePolicyAxis(t *testing.T) {
 	space := smallSpace()
-	space.SplitFormats = []bool{false}
+	space.Radixes = nil
 	space.WorkerSplits = [][2]int{{1, 1}}
 	space.Buffers = []int{256}
 	space.StorePolicies = []string{"regular", "nt"}
@@ -159,7 +165,7 @@ func TestStorePolicyAxis(t *testing.T) {
 
 func TestFuseAxis(t *testing.T) {
 	space := smallSpace()
-	space.SplitFormats = []bool{false}
+	space.Radixes = nil
 	space.WorkerSplits = [][2]int{{1, 1}}
 	space.Buffers = []int{256}
 	space.Fuses = []string{"on", "off"}
