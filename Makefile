@@ -111,7 +111,7 @@ bench:
 # One-iteration pass over the transform benchmarks: catches benchmarks that
 # no longer compile or crash without paying for a timed run.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Fig|Table|PublicAPI|StageFusion' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench='Fig|Table|PublicAPI' -benchtime=1x -benchmem .
 
 # End-to-end smoke of the serving daemon: start fftserved on a loopback
 # port, fire concurrent mixed-shape requests over HTTP, verify round trips

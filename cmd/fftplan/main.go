@@ -153,11 +153,9 @@ func printSchedule(stages, iters int) {
 		iters+1, strings.Repeat(" ", 8), iters-1)
 	total := stages * iters
 	fmt.Printf("\nWhole transform as a fused stage graph (%d stages × %d iterations):\n", stages, iters)
-	fmt.Printf("  fused (default): %d steps — steady state flows through stage boundaries,\n", total+stages+1)
-	fmt.Printf("                   one fill/drain per transform; overhead %.3f\n",
+	fmt.Printf("  %d steps — steady state flows through stage boundaries,\n", total+stages+1)
+	fmt.Printf("  one fill/drain per transform; overhead %.3f\n",
 		float64(total+stages+1)/float64(total))
-	fmt.Printf("  unfused:         %d steps — every stage drains; overhead %.3f\n",
-		total+2*stages, float64(total+2*stages)/float64(total))
 }
 
 func max(a, b int) int {

@@ -314,7 +314,7 @@ func (h *handler) transform(w http.ResponseWriter, r *http.Request) {
 			treq.Rank, treq.Rank, len(treq.Dims)), http.StatusBadRequest)
 		return
 	}
-	n, err := serve.ElemCount(treq.Dims)
+	n, err := machine.AdmitElems(treq.Dims)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

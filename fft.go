@@ -99,20 +99,6 @@ func WithRadix(r int) Option {
 	}
 }
 
-// WithStageFusion enables or disables cross-stage pipeline fusion (enabled
-// by default). When on, a doublebuf transform executes as one fused stage
-// graph: the pipeline's steady state flows through every stage boundary —
-// the last stores of one stage overlap the first loads of the next on
-// opposite buffer halves — so the whole transform fills and drains the
-// pipeline once. When off, every stage drains before the next begins (the
-// stage-at-a-time baseline, useful for A/B comparison).
-func WithStageFusion(on bool) Option {
-	return func(c *core.Config) error {
-		c.StageFusion = on
-		return nil
-	}
-}
-
 // WithMachineDefaults applies the paper's parameter rules (buffer = LLC/2,
 // μ = cacheline, half the threads per role) for one of the five described
 // evaluation machines; see Machines for the names.
@@ -301,8 +287,8 @@ func (f *FFT2D) Observability() Observability { return f.p.Observability() }
 type Observability = core.Observability
 
 // Stats reports whole-transform execution statistics from the stage-graph
-// executor: Steps is the total pipeline step count (a fused S-stage graph
-// runs sum(iters)+S+1 steps instead of sum(iters)+2S), DataTime and
+// executor: Steps is the total pipeline step count (an S-stage graph fills
+// and drains the pipeline once, running sum(iters)+S+1 steps), DataTime and
 // ComputeTime aggregate per-step worker time, and Overlap is the fraction
 // of data-mover time hidden behind compute (1 = fully overlapped).
 type Stats = core.Stats

@@ -177,7 +177,7 @@ func TestIntegrationFullTransformScheduleInvariants(t *testing.T) {
 	// so stage 1 streams its 64 pencils and stages 2–3 their 32 units in 16
 	// iterations each.
 	iters := []int{16, 16, 16}
-	if err := tr.CheckStageGraph(iters, true); err != nil {
+	if err := tr.CheckStageGraph(iters); err != nil {
 		t.Fatal(err)
 	}
 	// Fused boundaries: store(stage s, last iter) and load(stage s+1, 0)

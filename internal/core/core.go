@@ -44,11 +44,6 @@ type Config struct {
 	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 select the
 	// higher-pass-count mixes).
 	Radix int
-	// StageFusion runs every transform as one fused stage graph (steady
-	// state flows through stage boundaries; one pipeline drain per
-	// transform). Default() and ForMachine() enable it; disable for the
-	// stage-at-a-time A/B baseline.
-	StageFusion bool
 	// MachineName, when set to a name internal/machine resolves, attaches
 	// that machine's perfmodel prediction to every plan's telemetry so
 	// snapshots report measured/predicted divergence. ForMachine sets it.
@@ -75,7 +70,6 @@ func Default() Config {
 		DataWorkers:    pd,
 		ComputeWorkers: pd,
 		Workers:        threads,
-		StageFusion:    true,
 	}
 }
 
@@ -94,7 +88,6 @@ func ForMachine(m machine.Machine) Config {
 		DataWorkers:    pairs,
 		ComputeWorkers: pairs,
 		Workers:        m.Threads(),
-		StageFusion:    true,
 		MachineName:    m.Name,
 		RooflineGBs:    m.StreamGBs,
 	}
@@ -124,9 +117,7 @@ func (c Config) model() *perfmodel.Model {
 	if err != nil {
 		return nil
 	}
-	mo := perfmodel.New(m)
-	mo.Fused = c.StageFusion
-	return mo
+	return perfmodel.New(m)
 }
 
 func (c Config) fft3dOptions() (fft3d.Options, error) {
@@ -137,8 +128,7 @@ func (c Config) fft3dOptions() (fft3d.Options, error) {
 	return fft3d.Options{
 		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, Radix: c.Radix,
-		Unfused: !c.StageFusion, Tracer: c.Tracer,
+		Workers: c.Workers, Radix: c.Radix, Tracer: c.Tracer,
 	}, nil
 }
 
@@ -150,8 +140,7 @@ func (c Config) fft2dOptions() (fft2d.Options, error) {
 	return fft2d.Options{
 		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, Radix: c.Radix,
-		Unfused: !c.StageFusion, Tracer: c.Tracer,
+		Workers: c.Workers, Radix: c.Radix, Tracer: c.Tracer,
 	}, nil
 }
 
@@ -333,7 +322,7 @@ func (c Config) rfftOptions() rfft.Options {
 	return rfft.Options{
 		Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Radix: c.Radix, Unfused: !c.StageFusion, Tracer: c.Tracer,
+		Radix: c.Radix, Tracer: c.Tracer,
 	}
 }
 

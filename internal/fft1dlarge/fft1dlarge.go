@@ -14,9 +14,9 @@
 // row FFTs (plus the twiddle scaling) and transpose the row group in cache
 // into the staging half, and the store writes whole column blocks — so main
 // memory sees only contiguous reads and block-granular writes, the same
-// access discipline as the paper's multi-dimensional stages. With fusion
-// (the default) the whole 1D transform is a single pipeline that drains
-// once, not three back-to-back passes.
+// access discipline as the paper's multi-dimensional stages. The whole 1D
+// transform is a single pipeline that drains once, not three back-to-back
+// passes.
 package fft1dlarge
 
 import (
@@ -49,9 +49,6 @@ type Options struct {
 	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 for
 	// tuning/ablation).
 	Radix int
-	// Unfused disables cross-stage pipeline fusion (each permutation
-	// drains the pipeline before the next begins); fusion is the default.
-	Unfused bool
 	// Tracer records pipeline events for schedule verification.
 	Tracer *trace.Recorder
 }
@@ -133,7 +130,7 @@ func NewPlan(n int, opts Options) (*Plan, error) {
 	}
 	p.bufs = stagegraph.NewBuffers(b, true)
 	p.stages = p.buildStages(nil, nil)
-	p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
+	p.sched = stagegraph.Compile(p.stages)
 	names := make([]string, len(p.stages))
 	for i := range p.stages {
 		names[i] = p.stages[i].Name
@@ -270,7 +267,7 @@ func (p *Plan) DescribeGraph() string {
 	if p.direct != nil {
 		return ""
 	}
-	return stagegraph.Describe(p.buildStages(nil, nil), !p.opts.Unfused)
+	return stagegraph.Describe(p.buildStages(nil, nil))
 }
 
 // buildStages compiles the six-step factorization into a three-stage graph:

@@ -82,10 +82,6 @@ type Options struct {
 	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
 	// the higher-pass-count mixes for tuning/ablation).
 	Radix int
-	// Unfused disables cross-stage pipeline fusion: each stage drains the
-	// pipeline before the next begins, as if run by a separate engine
-	// invocation (the A/B baseline; fusion is on by default).
-	Unfused bool
 	// DisableStoreFold turns off the fused store epilogue: the trailing
 	// trivial-twiddle radix-4 butterfly runs as a normal compute sweep and
 	// the scatter stores unmodified blocks (the A/B baseline for the fold;
@@ -193,7 +189,7 @@ func NewPlan(k, n, m int, opts Options) (*Plan, error) {
 		p.stages = p.buildStages(nil, nil)
 		stagegraph.ApplyStorePolicy(p.stages,
 			opts.StorePolicy.Decide(p.destBytes(), machine.HostLLCBytes()))
-		p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
+		p.sched = stagegraph.Compile(p.stages)
 		names := make([]string, len(p.stages))
 		for i := range p.stages {
 			names[i] = p.stages[i].Name
@@ -357,7 +353,7 @@ func (p *Plan) DescribeGraph() string {
 	if p.opts.Strategy != DoubleBuf {
 		return ""
 	}
-	return stagegraph.Describe(p.buildStages(nil, nil), !p.opts.Unfused)
+	return stagegraph.Describe(p.buildStages(nil, nil))
 }
 
 // InPlace computes x = DFT_{k×n×m}(x).

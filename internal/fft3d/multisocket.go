@@ -148,8 +148,8 @@ func NewDistPlan(k, n, m, sockets int, opts Options) (*DistPlan, error) {
 	}
 	// Every socket's front (and back) has identical stage shapes, so one
 	// compiled schedule per phase serves all sockets.
-	p.schedFront = stagegraph.Compile(p.fronts[0], !opts.Unfused)
-	p.schedBack = stagegraph.Compile(p.backs[0], !opts.Unfused)
+	p.schedFront = stagegraph.Compile(p.fronts[0])
+	p.schedBack = stagegraph.Compile(p.backs[0])
 	runtime.SetFinalizer(p, (*DistPlan).Close)
 	return p, nil
 }

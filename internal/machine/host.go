@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"bufio"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,6 +33,8 @@ var (
 	hostLLCBytes int
 	hostL2Once   sync.Once
 	hostL2Bytes  int
+	hostMemOnce  sync.Once
+	hostMemBytes int
 )
 
 // HostLLCBytes returns the size in bytes of the last-level cache of the
@@ -46,6 +51,62 @@ func HostLLCBytes() int {
 		hostLLCBytes = fallbackLLCBytes
 	})
 	return hostLLCBytes
+}
+
+// maxElems bounds one transform's element count: at 16 B per complex
+// element, a larger transform's byte size would not fit in an int.
+const maxElems = math.MaxInt / 16
+
+// AdmitElems is the one size check for shapes that arrive from outside the
+// process (served /transform requests, /shard/begin specs). It returns the
+// element count ∏dims, or an error when a dim is below 1, when the product
+// overflows or exceeds math.MaxInt/16 — so a wrapped product can never pass
+// as a small (or empty) transform — or when the product at 16 B per
+// complex element exceeds the host's physical memory (MemTotal in
+// /proc/meminfo, read once). When MemTotal is unknown only the overflow
+// check applies.
+func AdmitElems(dims []int) (int, error) {
+	hostMemOnce.Do(func() { hostMemBytes, _ = memTotalBytesFrom("/proc/meminfo") })
+	return admitElems(dims, hostMemBytes)
+}
+
+// admitElems is AdmitElems against a given memory size (0 = unknown).
+func admitElems(dims []int, memBytes int) (int, error) {
+	n := 1
+	for _, d := range dims {
+		if d < 1 {
+			return 0, fmt.Errorf("dims must be ≥ 1, got %v", dims)
+		}
+		if n > maxElems/d {
+			return 0, fmt.Errorf("dims %v exceed the %d-element limit", dims, maxElems)
+		}
+		n *= d
+	}
+	if memBytes > 0 && n > memBytes/16 {
+		return 0, fmt.Errorf("dims %v need %d B, more than this host's %d B of memory", dims, n*16, memBytes)
+	}
+	return n, nil
+}
+
+// memTotalBytesFrom reads MemTotal from a /proc/meminfo-format file.
+func memTotalBytesFrom(path string) (int, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 3 && fields[0] == "MemTotal:" && fields[2] == "kB" {
+			kb, err := strconv.Atoi(fields[1])
+			if err != nil || kb < 1 || kb > math.MaxInt/1024 {
+				return 0, false
+			}
+			return kb * 1024, true
+		}
+	}
+	return 0, false
 }
 
 // HostL2Bytes returns the size in bytes of the per-core L2 cache,

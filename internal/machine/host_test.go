@@ -113,3 +113,62 @@ func TestPreferredMu(t *testing.T) {
 		}
 	}
 }
+
+// Shapes arrive from the network, so the element count must be checked,
+// not multiplied blindly: a product that wraps (2^32·2^32 = 0 mod 2^64)
+// would otherwise pass as an empty transform, and one that fits an int
+// can still ask for more memory than the host has.
+func TestAdmitElems(t *testing.T) {
+	const mem = 8 << 30
+	for _, c := range []struct {
+		dims []int
+		mem  int
+		want int
+		ok   bool
+	}{
+		{[]int{8}, 0, 8, true},
+		{[]int{4, 8, 16}, mem, 512, true},
+		{[]int{maxElems}, 0, maxElems, true},
+		{[]int{maxElems + 1}, 0, 0, false},
+		{[]int{1 << 32, 1 << 32}, 0, 0, false},   // wraps to 0
+		{[]int{1<<32 + 1, 1 << 32}, 0, 0, false}, // wraps to 2^32
+		{[]int{1 << 30, 1 << 30}, 0, 0, false},   // fits an int, above the limit
+		{[]int{1 << 20, 1 << 20, 1 << 20}, 0, 0, false},
+		{[]int{1 << 22, 1 << 22, 1 << 22}, mem, 0, false}, // wraps to 0 mod 2^64
+		{[]int{4, 0}, 0, 0, false},
+		{[]int{-2, -4}, 0, 0, false},
+		{[]int{mem / 16}, mem, mem / 16, true}, // exactly the host's memory
+		{[]int{mem/16 + 1}, mem, 0, false},
+		{[]int{4096, 4096, 4096}, mem, 0, false}, // 1 TiB: fits an int, not the host
+		{[]int{4096, 4096, 4096}, 0, 1 << 36, true},
+	} {
+		n, err := admitElems(c.dims, c.mem)
+		if (err == nil) != c.ok || n != c.want {
+			t.Errorf("admitElems(%v, %d) = %d, %v; want %d, ok=%v", c.dims, c.mem, n, err, c.want, c.ok)
+		}
+	}
+	// The host check itself must admit a small transform.
+	if n, err := AdmitElems([]int{16, 16, 16}); err != nil || n != 4096 {
+		t.Fatalf("AdmitElems(16³) = %d, %v", n, err)
+	}
+}
+
+func TestMemTotalBytesFrom(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "meminfo")
+	if err := os.WriteFile(path, []byte("MemTotal:        8211568 kB\nMemFree:          123 kB\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := memTotalBytesFrom(path); !ok || got != 8211568*1024 {
+		t.Fatalf("memTotalBytesFrom = %d, %v; want %d, true", got, ok, 8211568*1024)
+	}
+	if err := os.WriteFile(path, []byte("MemFree: 123 kB\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := memTotalBytesFrom(path); ok {
+		t.Fatal("parsed a MemTotal that is not there")
+	}
+	if _, ok := memTotalBytesFrom(filepath.Join(dir, "missing")); ok {
+		t.Fatal("parsed a missing file")
+	}
+}

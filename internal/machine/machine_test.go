@@ -54,6 +54,20 @@ func TestPaperParameters(t *testing.T) {
 			t.Errorf("%s: not dual socket with a link", c.m.Name)
 		}
 	}
+	// Fig. 2: Intel pairs data and compute threads on one core's two
+	// hyperthreads, AMD on two cores sharing an L2.
+	for _, m := range All {
+		want := SMTPaired
+		if m.Vendor == "amd" {
+			want = CorePaired
+		}
+		if m.Pairing != want {
+			t.Errorf("%s: pairing %v, want %v", m.Name, m.Pairing, want)
+		}
+	}
+	if SMTPaired.String() != "smt-paired" || CorePaired.String() != "core-paired" {
+		t.Errorf("pairing names %q/%q", SMTPaired, CorePaired)
+	}
 }
 
 func TestDerivedQuantities(t *testing.T) {

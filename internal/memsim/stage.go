@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
+	"repro/internal/trace"
 )
 
 // StageSpec describes one pipelined FFT stage at paper scale, per pipeline
@@ -28,7 +29,7 @@ type Resources struct {
 // SimulateStage plays the Table II schedule for one stage and returns its
 // wall time in seconds. It is SimulateGraph on a single-stage graph.
 func SimulateStage(r Resources, s StageSpec) float64 {
-	return SimulateGraph(r, []StageSpec{s}, false)
+	return SimulateGraph(r, []StageSpec{s})
 }
 
 // SimulateGraph plays the stage-graph schedule for a whole multi-stage
@@ -40,27 +41,20 @@ func SimulateStage(r Resources, s StageSpec) float64 {
 // epilogue emerge naturally from the iteration guards, so pipeline fill is
 // simulated rather than approximated.
 //
-// With fused=true the stages share the steady state exactly as the real
-// executor does: stage k's epilogue stores and stage k+1's prologue loads
-// land in the same step's data chain, so an S-stage graph runs
-// sum(iters)+S+1 steps and pays one fill/drain for the whole transform.
-// With fused=false each stage drains before the next begins
-// (sum(iters)+2S steps): the per-stage cost sums the way separate engine
-// invocations would.
-func SimulateGraph(r Resources, stages []StageSpec, fused bool) float64 {
+// The stages share the steady state exactly as the real executor does: the
+// step bases are trace.StageGraphBases, so stage k's epilogue stores and
+// stage k+1's prologue loads land in the same step's data chain, and an
+// S-stage graph runs sum(iters)+S+1 steps with one fill/drain for the
+// whole transform.
+func SimulateGraph(r Resources, stages []StageSpec) float64 {
 	e := &Engine{}
-	bases := make([]int, len(stages))
-	total := 0
-	for i, s := range stages {
-		bases[i] = total
-		total += s.Iters + 1
-		if !fused {
-			total++
-		}
+	iters := make([]int, len(stages))
+	for i := range stages {
+		iters[i] = stages[i].Iters
 	}
-	if fused {
-		total++ // the single epilogue store step
-	}
+	bases := trace.StageGraphBases(iters)
+	last := len(stages) - 1
+	total := bases[last] + iters[last] + 2
 	for step := 0; step < total; step++ {
 		var wait []*Task
 		// Data chain: stores strictly before loads, as the data workers'
@@ -111,12 +105,6 @@ func SimulateGraph(r Resources, stages []StageSpec, fused bool) float64 {
 // The byte/flop accounting matches internal/perfmodel's (same inputs), but
 // the timing comes from the event simulation rather than closed forms.
 func SimulateDoubleBuf3D(m machine.Machine, k, n, mm, sockets int) (float64, error) {
-	return SimulateDoubleBuf3DSchedule(m, k, n, mm, sockets, true)
-}
-
-// SimulateDoubleBuf3DSchedule is SimulateDoubleBuf3D with the cross-stage
-// fusion choice exposed, for A/B comparison of the two schedules.
-func SimulateDoubleBuf3DSchedule(m machine.Machine, k, n, mm, sockets int, fused bool) (float64, error) {
 	if sockets < 1 || sockets > m.Sockets {
 		return 0, fmt.Errorf("memsim: %s has %d socket(s)", m.Name, m.Sockets)
 	}
@@ -169,7 +157,7 @@ func SimulateDoubleBuf3DSchedule(m machine.Machine, k, n, mm, sockets int, fused
 	if sockets > 1 && m.LinkGBs > 0 {
 		r.Link = NewResource("link", m.LinkGBs*1e9)
 	}
-	return SimulateGraph(r, specs, fused), nil
+	return SimulateGraph(r, specs), nil
 }
 
 func log2(n int) float64 {

@@ -251,9 +251,8 @@ type Snapshot struct {
 	BothBusySteps uint64 `json:"both_busy_steps"`
 	// OverlapOccupancy is the cumulative fraction of schedule steps in
 	// which a data op and a compute op were both scheduled — the
-	// steady-state overlap the paper's Table II pipelining buys. A fused
-	// S-stage graph approaches iters/(iters+S+1); an unfused one is
-	// strictly lower.
+	// steady-state overlap the paper's Table II pipelining buys. An
+	// S-stage graph approaches iters/(iters+S+1).
 	OverlapOccupancy float64 `json:"overlap_occupancy"`
 	// LastRunOccupancy is the most recent run's occupancy alone.
 	LastRunOccupancy float64 `json:"last_run_occupancy"`

@@ -1,286 +1,11 @@
 package pipeline
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
-
-// memHooks builds hooks that move real data through a double buffer: block i
-// of input is loaded, scaled by 2 by the compute workers, and stored into
-// block i of output. Exercises the partitioning and the buffer-half
-// discipline with actual memory.
-func memHooks(input, output []complex128, bufs *[2][]complex128, b int) Hooks {
-	return Hooks{
-		Load: func(iter, buf, worker, workers int) {
-			lo, hi := Partition(b, worker, workers)
-			copy(bufs[buf][lo:hi], input[iter*b+lo:iter*b+hi])
-		},
-		Compute: func(iter, buf, worker, workers int) {
-			lo, hi := Partition(b, worker, workers)
-			half := bufs[buf]
-			for j := lo; j < hi; j++ {
-				half[j] *= 2
-			}
-		},
-		Store: func(iter, buf, worker, workers int) {
-			lo, hi := Partition(b, worker, workers)
-			copy(output[iter*b+lo:iter*b+hi], bufs[buf][lo:hi])
-		},
-	}
-}
-
-func runMem(t *testing.T, run func(Config, Hooks) (Stats, error), iters, b, pd, pc int, tr *trace.Recorder) []complex128 {
-	t.Helper()
-	input := make([]complex128, iters*b)
-	for i := range input {
-		input[i] = complex(float64(i), -float64(i))
-	}
-	output := make([]complex128, iters*b)
-	var bufs [2][]complex128
-	bufs[0] = make([]complex128, b)
-	bufs[1] = make([]complex128, b)
-	st, err := run(Config{
-		Iters: iters, DataWorkers: pd, ComputeWorkers: pc, Tracer: tr,
-	}, memHooks(input, output, &bufs, b))
-	if err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	if st.WallTime <= 0 {
-		t.Fatal("no wall time recorded")
-	}
-	for i, c := range output {
-		want := complex(2*float64(i), -2*float64(i))
-		if c != want {
-			t.Fatalf("output[%d] = %v, want %v", i, c, want)
-		}
-	}
-	return output
-}
-
-func TestRunMovesDataCorrectly(t *testing.T) {
-	for _, c := range []struct{ iters, b, pd, pc int }{
-		{1, 64, 1, 1},
-		{2, 64, 1, 1},
-		{3, 96, 2, 2},
-		{8, 128, 2, 4},
-		{16, 60, 3, 5},
-		{5, 7, 4, 4}, // b smaller than worker count exercises empty ranges
-	} {
-		runMem(t, Run, c.iters, c.b, c.pd, c.pc, nil)
-	}
-}
-
-func TestRunSequentialMovesDataCorrectly(t *testing.T) {
-	runMem(t, RunSequential, 6, 90, 2, 2, nil)
-}
-
-func TestTableIISchedule(t *testing.T) {
-	// The recorded events must match the paper's Table II exactly.
-	for _, iters := range []int{1, 2, 3, 4, 9} {
-		tr := trace.New()
-		runMem(t, Run, iters, 32, 2, 2, tr)
-		if err := tr.CheckTableII(iters); err != nil {
-			t.Fatalf("iters=%d: %v", iters, err)
-		}
-	}
-}
-
-func TestPrologueSteadyEpilogueShape(t *testing.T) {
-	const iters = 6
-	tr := trace.New()
-	runMem(t, Run, iters, 32, 1, 1, tr)
-	byStep := tr.ByStep()
-
-	// Prologue: step 0 loads only.
-	if ops := trace.OpsInStep(byStep[0]); len(ops) != 1 || ops[0] != trace.Load {
-		t.Fatalf("step 0 ops = %v, want [load]", ops)
-	}
-	// Step 1: load + compute, no store.
-	if ops := trace.OpsInStep(byStep[1]); len(ops) != 2 || ops[0] != trace.Load || ops[1] != trace.Compute {
-		t.Fatalf("step 1 ops = %v, want [load compute]", ops)
-	}
-	// Steady state: all three ops.
-	for s := 2; s < iters; s++ {
-		if ops := trace.OpsInStep(byStep[s]); len(ops) != 3 {
-			t.Fatalf("step %d ops = %v, want [load compute store]", s, ops)
-		}
-	}
-	// Epilogue: step iters has compute+store, step iters+1 store only.
-	if ops := trace.OpsInStep(byStep[iters]); len(ops) != 2 || ops[0] != trace.Compute || ops[1] != trace.Store {
-		t.Fatalf("step %d ops = %v, want [compute store]", iters, ops)
-	}
-	if ops := trace.OpsInStep(byStep[iters+1]); len(ops) != 1 || ops[0] != trace.Store {
-		t.Fatalf("step %d ops = %v, want [store]", iters+1, ops)
-	}
-}
-
-func TestOverlapHidesDataMovement(t *testing.T) {
-	// With sleep-based hooks, the pipelined run must take roughly
-	// max(load+store, compute) per steady step, while the sequential run
-	// pays the sum. Sleeps overlap even on a single-core machine, so this
-	// is a robust scheduling test, not a throughput test.
-	const iters = 8
-	const d = 4 * time.Millisecond
-	mk := func() Hooks {
-		return Hooks{
-			Load: func(_, _, w, _ int) {
-				if w == 0 {
-					time.Sleep(d)
-				}
-			},
-			Compute: func(_, _, w, _ int) {
-				if w == 0 {
-					time.Sleep(2 * d)
-				}
-			},
-			Store: func(_, _, w, _ int) {
-				if w == 0 {
-					time.Sleep(d)
-				}
-			},
-		}
-	}
-	cfg := Config{Iters: iters, DataWorkers: 1, ComputeWorkers: 1}
-	pip, err := Run(cfg, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunSequential(cfg, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sequential: iters·(d + 2d + d) = 32d. Pipelined: ≈ (iters+2)·2d = 20d.
-	// Require a conservative 1.25x separation to stay robust under CI noise.
-	if float64(seq.WallTime) < 1.25*float64(pip.WallTime) {
-		t.Fatalf("pipelining hid no data movement: pipelined %v vs sequential %v",
-			pip.WallTime, seq.WallTime)
-	}
-}
-
-func TestOverlapFractionFromTrace(t *testing.T) {
-	const iters = 8
-	const d = 2 * time.Millisecond
-	tr := trace.New()
-	h := Hooks{
-		Load:    func(_, _, _, _ int) { time.Sleep(d) },
-		Compute: func(_, _, _, _ int) { time.Sleep(2 * d) },
-		Store:   func(_, _, _, _ int) { time.Sleep(d) },
-	}
-	if _, err := Run(Config{Iters: iters, DataWorkers: 1, ComputeWorkers: 1, Tracer: tr}, h); err != nil {
-		t.Fatal(err)
-	}
-	if f := tr.OverlapFraction(); f < 0.5 {
-		t.Fatalf("overlap fraction %v, want ≥ 0.5 (most data movement hidden)", f)
-	}
-}
-
-func TestStoreLoadOrderingOnSharedHalf(t *testing.T) {
-	// The load of iteration s must not begin on a half before the store of
-	// iteration s-2 has drained it, even across different data workers.
-	// We detect violations by having stores verify a sentinel that loads
-	// overwrite.
-	const iters, b = 12, 64
-	var bufs [2][]complex128
-	bufs[0] = make([]complex128, b)
-	bufs[1] = make([]complex128, b)
-	var violations atomic.Int64
-	var mu sync.Mutex
-	pending := map[int]int{} // buf -> iter whose data currently occupies it
-	h := Hooks{
-		Load: func(iter, buf, worker, workers int) {
-			lo, hi := Partition(b, worker, workers)
-			for j := lo; j < hi; j++ {
-				bufs[buf][j] = complex(float64(iter), 0)
-			}
-			mu.Lock()
-			pending[buf] = iter
-			mu.Unlock()
-		},
-		Compute: func(iter, buf, worker, workers int) {},
-		Store: func(iter, buf, worker, workers int) {
-			lo, hi := Partition(b, worker, workers)
-			for j := lo; j < hi; j++ {
-				if bufs[buf][j] != complex(float64(iter), 0) {
-					violations.Add(1)
-				}
-			}
-			_ = lo
-		},
-	}
-	if _, err := Run(Config{Iters: iters, DataWorkers: 3, ComputeWorkers: 2}, h); err != nil {
-		t.Fatal(err)
-	}
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d store/load ordering violations", v)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	ok := Hooks{
-		Load:    func(_, _, _, _ int) {},
-		Compute: func(_, _, _, _ int) {},
-		Store:   func(_, _, _, _ int) {},
-	}
-	cases := []struct {
-		cfg Config
-		h   Hooks
-	}{
-		{Config{Iters: 0, DataWorkers: 1, ComputeWorkers: 1}, ok},
-		{Config{Iters: 4, DataWorkers: 0, ComputeWorkers: 1}, ok},
-		{Config{Iters: 4, DataWorkers: 1, ComputeWorkers: 0}, ok},
-		{Config{Iters: 4, DataWorkers: 1, ComputeWorkers: 1}, Hooks{}},
-		{Config{Iters: 4, DataWorkers: 1, ComputeWorkers: 1}, Hooks{Load: ok.Load, Compute: ok.Compute}},
-	}
-	for i, c := range cases {
-		if _, err := Run(c.cfg, c.h); err == nil {
-			t.Errorf("case %d: Run accepted invalid config", i)
-		}
-		if _, err := RunSequential(c.cfg, c.h); err == nil {
-			t.Errorf("case %d: RunSequential accepted invalid config", i)
-		}
-	}
-}
-
-func TestLockThreadsAndYieldPaths(t *testing.T) {
-	runOnce := func(cfg Config) {
-		input := make([]complex128, 4*32)
-		output := make([]complex128, 4*32)
-		var bufs [2][]complex128
-		bufs[0] = make([]complex128, 32)
-		bufs[1] = make([]complex128, 32)
-		if _, err := Run(cfg, memHooks(input, output, &bufs, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runOnce(Config{Iters: 4, DataWorkers: 2, ComputeWorkers: 2, LockThreads: true})
-	runOnce(Config{Iters: 4, DataWorkers: 2, ComputeWorkers: 2, YieldInData: true})
-}
-
-func TestStatsAccounting(t *testing.T) {
-	tr := trace.New()
-	st, err := Run(Config{Iters: 5, DataWorkers: 2, ComputeWorkers: 3, Tracer: tr}, Hooks{
-		Load:    func(_, _, _, _ int) { time.Sleep(time.Millisecond) },
-		Compute: func(_, _, _, _ int) { time.Sleep(time.Millisecond) },
-		Store:   func(_, _, _, _ int) { time.Sleep(time.Millisecond) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Steps != 7 {
-		t.Fatalf("Steps = %d, want 7", st.Steps)
-	}
-	if st.DataWorkers != 2 || st.ComputeWorkers != 3 {
-		t.Fatal("worker counts not recorded")
-	}
-	if st.DataTime <= 0 || st.ComputeTime <= 0 {
-		t.Fatal("phase durations not recorded")
-	}
-}
 
 func TestPartition(t *testing.T) {
 	// Ranges must tile [0, total) in order.
@@ -350,110 +75,6 @@ func TestBarrierReuse(t *testing.T) {
 	}
 	if phase.Load() != rounds {
 		t.Fatalf("phase = %d, want %d", phase.Load(), rounds)
-	}
-}
-
-func BenchmarkPipelineOverlap(b *testing.B) {
-	// Real data movement + compute through the pipeline at a
-	// cache-resident size.
-	const iters, blk = 16, 1 << 12
-	input := make([]complex128, iters*blk)
-	output := make([]complex128, iters*blk)
-	var bufs [2][]complex128
-	bufs[0] = make([]complex128, blk)
-	bufs[1] = make([]complex128, blk)
-	h := memHooks(input, output, &bufs, blk)
-	cfg := Config{Iters: iters, DataWorkers: 1, ComputeWorkers: 1}
-	b.SetBytes(int64(iters * blk * 16))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, h); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOverlapOnOff(b *testing.B) {
-	const iters, blk = 16, 1 << 12
-	input := make([]complex128, iters*blk)
-	output := make([]complex128, iters*blk)
-	var bufs [2][]complex128
-	bufs[0] = make([]complex128, blk)
-	bufs[1] = make([]complex128, blk)
-	h := memHooks(input, output, &bufs, blk)
-	cfg := Config{Iters: iters, DataWorkers: 1, ComputeWorkers: 1}
-	b.Run("overlap", func(b *testing.B) {
-		b.SetBytes(int64(iters * blk * 16))
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(cfg, h); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		b.SetBytes(int64(iters * blk * 16))
-		for i := 0; i < b.N; i++ {
-			if _, err := RunSequential(cfg, h); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func TestPanicInHookBecomesError(t *testing.T) {
-	// A panicking hook must not deadlock the barriers; Run returns it as
-	// an error and every worker exits.
-	mk := func(which string, atIter int) Hooks {
-		h := Hooks{
-			Load:    func(_, _, _, _ int) {},
-			Compute: func(_, _, _, _ int) {},
-			Store:   func(_, _, _, _ int) {},
-		}
-		boom := func(iter, _, _, _ int) {
-			if iter == atIter {
-				panic("injected failure")
-			}
-		}
-		switch which {
-		case "load":
-			h.Load = boom
-		case "compute":
-			h.Compute = boom
-		case "store":
-			h.Store = boom
-		}
-		return h
-	}
-	for _, which := range []string{"load", "compute", "store"} {
-		for _, atIter := range []int{0, 2, 5} {
-			doneCh := make(chan error, 1)
-			go func() {
-				_, err := Run(Config{Iters: 6, DataWorkers: 2, ComputeWorkers: 2}, mk(which, atIter))
-				doneCh <- err
-			}()
-			select {
-			case err := <-doneCh:
-				if err == nil {
-					t.Errorf("%s panic at iter %d: Run returned nil error", which, atIter)
-				} else if !strings.Contains(err.Error(), "panicked") {
-					t.Errorf("%s: unexpected error %v", which, err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%s panic at iter %d: Run deadlocked", which, atIter)
-			}
-		}
-	}
-}
-
-func TestPanicInSequentialBecomesError(t *testing.T) {
-	h := Hooks{
-		Load:    func(_, _, _, _ int) {},
-		Compute: func(_, _, _, _ int) { panic("boom") },
-		Store:   func(_, _, _, _ int) {},
-	}
-	_, err := RunSequential(Config{Iters: 3, DataWorkers: 1, ComputeWorkers: 1}, h)
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("sequential panic not converted to error: %v", err)
 	}
 }
 

@@ -54,35 +54,3 @@ func TestQuickPartitionBlocksAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: for any iteration count and worker mix, the pipeline moves and
-// transforms every element exactly once (the memHooks data check).
-func TestQuickPipelineCompleteness(t *testing.T) {
-	f := func(rawIters, rawPd, rawPc uint8) bool {
-		iters := int(rawIters)%12 + 1
-		pd := int(rawPd)%3 + 1
-		pc := int(rawPc)%3 + 1
-		const b = 48
-		input := make([]complex128, iters*b)
-		for i := range input {
-			input[i] = complex(float64(i), 1)
-		}
-		output := make([]complex128, iters*b)
-		var bufs [2][]complex128
-		bufs[0] = make([]complex128, b)
-		bufs[1] = make([]complex128, b)
-		if _, err := Run(Config{Iters: iters, DataWorkers: pd, ComputeWorkers: pc},
-			memHooks(input, output, &bufs, b)); err != nil {
-			return false
-		}
-		for i := range output {
-			if output[i] != 2*input[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -63,8 +63,6 @@ type Options struct {
 	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 select the
 	// higher-pass-count mixes).
 	Radix int
-	// Unfused disables cross-stage pipeline fusion (the A/B baseline).
-	Unfused bool
 	// Tracer records pipeline events for schedule verification.
 	Tracer *trace.Recorder
 }
@@ -169,8 +167,8 @@ func stageNames(stages []stagegraph.Stage) []string {
 func (e *engine) init(label string, o Options, elems int, fwd, inv []stagegraph.Stage) error {
 	e.opts = o
 	e.fwd, e.inv = fwd, inv
-	e.fwdSched = stagegraph.Compile(fwd, !o.Unfused)
-	e.invSched = stagegraph.Compile(inv, !o.Unfused)
+	e.fwdSched = stagegraph.Compile(fwd)
+	e.invSched = stagegraph.Compile(inv)
 	e.bufs = stagegraph.NewBuffers(elems, true)
 	e.obsF = obs.NewCollector(o.DataWorkers, o.ComputeWorkers, stageNames(fwd))
 	e.obsI = obs.NewCollector(o.DataWorkers, o.ComputeWorkers, stageNames(inv))
@@ -366,8 +364,7 @@ func (p *Plan1D) Observability() obs.Snapshot {
 
 // DescribeGraph renders the compiled forward and inverse stage graphs.
 func (p *Plan1D) DescribeGraph() string {
-	return stagegraph.Describe(p.eng.fwd, !p.eng.opts.Unfused) +
-		stagegraph.Describe(p.eng.inv, !p.eng.opts.Unfused)
+	return stagegraph.Describe(p.eng.fwd) + stagegraph.Describe(p.eng.inv)
 }
 
 // Forward computes the unnormalized half spectrum X[0…n/2] of one real

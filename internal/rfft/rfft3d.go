@@ -228,8 +228,7 @@ func (p *Plan3D) Observability() obs.Snapshot {
 
 // DescribeGraph renders the compiled forward and inverse stage graphs.
 func (p *Plan3D) DescribeGraph() string {
-	return stagegraph.Describe(p.eng.fwd, !p.eng.opts.Unfused) +
-		stagegraph.Describe(p.eng.inv, !p.eng.opts.Unfused)
+	return stagegraph.Describe(p.eng.fwd) + stagegraph.Describe(p.eng.inv)
 }
 
 // Forward computes the unnormalized half spectrum. dst must have length

@@ -457,7 +457,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 		{},
 		{Mu: 2, BufferElems: 64},
 		{Mu: 8, DataWorkers: 2, ComputeWorkers: 2},
-		{BufferElems: 32, Unfused: true},
+		{BufferElems: 32},
 	}
 	checkFwd := func(got, full []complex128, stride, m, rows int) {
 		t.Helper()

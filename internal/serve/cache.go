@@ -13,6 +13,7 @@ import (
 	"repro/internal/fft1d"
 	"repro/internal/fft1dlarge"
 	"repro/internal/lru"
+	"repro/internal/machine"
 )
 
 // PlanKey identifies one cached plan. Cfg carries the execution shape —
@@ -53,8 +54,8 @@ func (k PlanKey) Validate() error {
 	default:
 		return fmt.Errorf("serve: rank must be 1, 2 or 3, got %d", k.Rank)
 	}
-	if _, err := ElemCount(k.dims()); err != nil {
-		return err
+	if _, err := machine.AdmitElems(k.dims()); err != nil {
+		return fmt.Errorf("serve: %v", err)
 	}
 	if k.Real {
 		last := k.lastDim()
@@ -83,10 +84,10 @@ func (k PlanKey) dims() []int { return []int{k.D0, k.D1, k.D2}[:k.Rank] }
 // Len returns the element count of one transform under this key: the
 // complex element count for complex plans, the real element count for real
 // plans (see SpectrumLen for the half-spectrum side). Keys reach a plan only
-// after Validate, which rejects counts ElemCount refuses, so the error is
-// not consulted here.
+// after Validate, which rejects counts machine.AdmitElems refuses, so the
+// error is not consulted here.
 func (k PlanKey) Len() int {
-	n, _ := ElemCount(k.dims())
+	n, _ := machine.AdmitElems(k.dims())
 	return n
 }
 
@@ -145,7 +146,6 @@ func buildPlan(key PlanKey) (*Plan, error) {
 			ComputeWorkers: cfg.ComputeWorkers,
 			BufferElems:    cfg.BufferElems,
 			Radix:          cfg.Radix,
-			Unfused:        !cfg.StageFusion,
 		})
 		if err != nil {
 			return nil, err

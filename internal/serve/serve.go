@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -251,29 +251,6 @@ func (s *Server) Cache() *PlanCache { return s.cache }
 // Healthy reports whether the server is accepting requests.
 func (s *Server) Healthy() bool { return !s.draining.Load() }
 
-// maxElems bounds one transform's element count: at 16 B per complex
-// element, a larger transform's byte size would not fit in an int.
-const maxElems = math.MaxInt / 16
-
-// ElemCount returns the element count ∏dims of one transform. It is the one
-// size check for transform shapes that arrive from outside the process: a
-// dim below 1, or a product that overflows or exceeds math.MaxInt/16, is an
-// error, so a wrapped product can never pass as a small (or empty)
-// transform.
-func ElemCount(dims []int) (int, error) {
-	n := 1
-	for _, d := range dims {
-		if d < 1 {
-			return 0, fmt.Errorf("serve: dims must be ≥ 1, got %v", dims)
-		}
-		if n > maxElems/d {
-			return 0, fmt.Errorf("serve: dims %v exceed the %d-element limit", dims, maxElems)
-		}
-		n *= d
-	}
-	return n, nil
-}
-
 func validate(req *Request) error {
 	d := req.Dims
 	switch req.Rank {
@@ -292,9 +269,9 @@ func validate(req *Request) error {
 	default:
 		return fmt.Errorf("serve: rank must be 1, 2 or 3, got %d", req.Rank)
 	}
-	n, err := ElemCount(d[:req.Rank])
+	n, err := machine.AdmitElems(d[:req.Rank])
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: %v", err)
 	}
 	if req.Sharded {
 		if req.Rank != 3 {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -427,30 +428,10 @@ func numGoroutineStable(t *testing.T, want int) int {
 // Shapes arrive from the network, so the element count must be checked,
 // not multiplied blindly: a product that wraps (2^32·2^32 = 0 mod 2^64)
 // would otherwise pass as an empty transform and size the plan from the
-// raw dims.
+// raw dims. Every entry point admits shapes through machine.AdmitElems
+// (whose limits are tested in internal/machine); these are the serving
+// layer's two doors.
 func TestElemCountRejectsOverflow(t *testing.T) {
-	for _, c := range []struct {
-		dims []int
-		want int
-		ok   bool
-	}{
-		{[]int{8}, 8, true},
-		{[]int{4, 8, 16}, 512, true},
-		{[]int{maxElems}, maxElems, true},
-		{[]int{maxElems + 1}, 0, false},
-		{[]int{1 << 32, 1 << 32}, 0, false},   // wraps to 0
-		{[]int{1<<32 + 1, 1 << 32}, 0, false}, // wraps to 2^32
-		{[]int{1 << 30, 1 << 30}, 0, false},   // fits an int, above the limit
-		{[]int{1 << 20, 1 << 20, 1 << 20}, 0, false},
-		{[]int{4, 0}, 0, false},
-		{[]int{-2, -4}, 0, false},
-	} {
-		n, err := ElemCount(c.dims)
-		if (err == nil) != c.ok || n != c.want {
-			t.Errorf("ElemCount(%v) = %d, %v; want %d, ok=%v", c.dims, n, err, c.want, c.ok)
-		}
-	}
-
 	s := New(Options{Config: smallCfg()})
 	defer s.Shutdown(context.Background())
 	err := s.Do(context.Background(), Request{Rank: 2, Dims: [3]int{1 << 32, 1 << 32}})
@@ -460,5 +441,15 @@ func TestElemCountRejectsOverflow(t *testing.T) {
 	pc := NewPlanCache(2)
 	if _, _, err := pc.Get(PlanKey{Rank: 2, D0: 1 << 32, D1: 1 << 32, Cfg: smallCfg()}); err == nil {
 		t.Fatal("PlanCache.Get accepted a key whose element count wraps")
+	}
+	// A product that fits an int but not this host's memory is refused
+	// the same way, wherever the host's memory size is known.
+	if _, err := machine.AdmitElems([]int{4096, 4096, 4096}); err != nil {
+		if err := s.Do(context.Background(), Request{Rank: 3, Dims: [3]int{4096, 4096, 4096}}); err == nil {
+			t.Fatal("Do accepted a 4096³ transform larger than host memory")
+		}
+		if _, _, err := pc.Get(PlanKey{Rank: 3, D0: 4096, D1: 4096, D2: 4096, Cfg: smallCfg()}); err == nil {
+			t.Fatal("PlanCache.Get accepted a 4096³ key larger than host memory")
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"repro/internal/machine"
 )
 
 // FleetOrder ranks nodes for a shape by rendezvous (highest-random-weight)
@@ -52,6 +54,9 @@ type geom struct {
 // newGeom validates the split. The shard tier is stricter than DistPlan:
 // it needs sk | n (not just sk | n·mb) so each worker's stage-3 output is
 // a whole y-slab the coordinator can gather without a second exchange.
+// Specs arrive over the network, so it also admits the worker plan's
+// footprint — four slabs (input, B, C part, output) plus a send buffer
+// per peer — through machine.AdmitElems before anything is allocated.
 func newGeom(k, n, m, sk, mu int) (geom, error) {
 	if k < 1 || n < 1 || m < 1 {
 		return geom{}, fmt.Errorf("invalid size %dx%dx%d", k, n, m)
@@ -68,10 +73,21 @@ func newGeom(k, n, m, sk, mu int) (geom, error) {
 	if n%sk != 0 {
 		return geom{}, fmt.Errorf("shards=%d does not divide n=%d", sk, n)
 	}
-	return geom{
+	g := geom{
 		k: k, n: n, m: m, sk: sk, mu: mu,
 		mb: m / mu, ksl: k / sk, nl: n / sk, q: (n / sk) * (m / mu),
-	}, nil
+	}
+	// The slab product is checked first so the footprint sum below (under
+	// five admitted slabs, each at most math.MaxInt/16 elements) cannot
+	// overflow.
+	if _, err := machine.AdmitElems([]int{g.ksl, n, m}); err != nil {
+		return geom{}, fmt.Errorf("slab: %v", err)
+	}
+	footprint := 4*g.slabElems() + (sk-1)*g.peerShareElems()
+	if _, err := machine.AdmitElems([]int{footprint}); err != nil {
+		return geom{}, fmt.Errorf("worker plan footprint: %v", err)
+	}
+	return g, nil
 }
 
 // slabElems is the per-shard input/output slab length (they coincide:

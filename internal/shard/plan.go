@@ -108,8 +108,8 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 		OutLocal: true,
 	}
 	p.front, p.back = spec.Stages()
-	p.schedF = stagegraph.Compile(p.front, true)
-	p.schedB = stagegraph.Compile(p.back, true)
+	p.schedF = stagegraph.Compile(p.front)
+	p.schedB = stagegraph.Compile(p.back)
 	p.bufs = stagegraph.NewBuffers(scratch, false)
 	p.exec, err = stagegraph.NewExecutor(stagegraph.Config{
 		DataWorkers:    dataWorkers,

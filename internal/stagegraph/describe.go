@@ -6,15 +6,11 @@ import (
 )
 
 // Describe renders a compiled stage graph as text: per-stage geometry plus
-// the fused-schedule summary. Endpoints may be nil — description never
-// touches data — so plans can describe graphs without binding arrays.
-func Describe(stages []Stage, fused bool) string {
+// the schedule summary. Endpoints may be nil — description never touches
+// data — so plans can describe graphs without binding arrays.
+func Describe(stages []Stage) string {
 	var b strings.Builder
-	mode := "fused"
-	if !fused {
-		mode = "unfused"
-	}
-	fmt.Fprintf(&b, "stage graph: %d stages, %s cross-stage schedule\n", len(stages), mode)
+	fmt.Fprintf(&b, "stage graph: %d stages, fused cross-stage schedule\n", len(stages))
 	totalIters := 0
 	for i := range stages {
 		st := &stages[i]
@@ -23,18 +19,12 @@ func Describe(stages []Stage, fused bool) string {
 		fmt.Fprintf(&b, "  stage %d %-10s iters=%-5d load %d×%d elems/block, store %d×%d via rotation %d×%d\n",
 			i, st.Name, st.Iters, st.Units, st.UnitLen, sunits, slen, st.Rot.Blocks, st.Rot.BlockLen)
 	}
-	steps := Steps(stages, fused)
-	drains := 1
-	if !fused {
-		drains = len(stages)
-	}
-	fmt.Fprintf(&b, "  schedule: %d iterations in %d steps, %d drain(s)", totalIters, steps, drains)
-	if fused && len(stages) > 1 {
+	steps := Steps(stages)
+	fmt.Fprintf(&b, "  schedule: %d iterations in %d steps, 1 drain", totalIters, steps)
+	if len(stages) > 1 {
 		fmt.Fprintf(&b, "; boundary stores overlap next-stage loads")
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "  fill overhead: %.4f (unfused %.4f)\n",
-		float64(Steps(stages, true))/float64(totalIters),
-		float64(Steps(stages, false))/float64(totalIters))
+	fmt.Fprintf(&b, "  fill overhead: %.4f\n", float64(steps)/float64(totalIters))
 	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/affinity"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -14,16 +13,10 @@ import (
 
 // Config sizes the executor.
 type Config struct {
-	// DataWorkers (p_d) and ComputeWorkers (p_c), as in the single-stage
-	// engine.
+	// DataWorkers (p_d) and ComputeWorkers (p_c): the soft-DMA workers
+	// that load and store, and the workers that run the pencils.
 	DataWorkers    int
 	ComputeWorkers int
-	// Fused flows the steady state through stage boundaries; unfused
-	// reproduces the drain-then-refill behaviour of one pipeline run per
-	// stage (the A/B baseline for WithStageFusion). Consumed by the
-	// package-level Run convenience; Executor.Run takes a compiled
-	// *Schedule instead.
-	Fused bool
 	// Tracer records every task with its stage index and global step.
 	Tracer *trace.Recorder
 	// Obs receives the always-on bandwidth accounting: per-(stage, op)
@@ -31,9 +24,6 @@ type Config struct {
 	// occupancy. Nil disables recording (the workers still take their step
 	// timestamps; shard writes are nil-safe no-ops).
 	Obs *obs.Collector
-	// YieldInData and LockThreads as in pipeline.Config.
-	YieldInData bool
-	LockThreads bool
 	// ScratchComplex pre-sizes every compute worker's scratch arena (in
 	// complex128 elements). Zero leaves the arenas empty; they grow on
 	// first use and are retained, so the steady state is allocation-free
@@ -57,8 +47,8 @@ type Stats struct {
 	Overlap float64
 	// OverlapOccupancy is the schedule-derived steady-state occupancy: the
 	// fraction of steps in which a data op (load or store) and a compute op
-	// were both scheduled. A fused S-stage graph with I total iterations
-	// approaches I/(I+S+1); draining at every boundary lowers it.
+	// were both scheduled. An S-stage graph with I total iterations
+	// approaches I/(I+S+1).
 	OverlapOccupancy float64
 }
 
@@ -70,14 +60,13 @@ type slotRef struct {
 
 // Schedule is a compiled stage-graph schedule: the per-step op tables of
 // BuildSchedule plus the step count. It depends only on the stage iteration
-// counts and the fusion flag — not on the arrays a particular Transform
-// binds — so plans compile it once at plan time and replay it on every
-// call; it is only rebuilt when the options that shaped it change (which,
-// for the immutable plans in this repository, means building a new plan).
+// counts — not on the arrays a particular Transform binds — so plans
+// compile it once at plan time and replay it on every call; it is only
+// rebuilt when the options that shaped it change (which, for the immutable
+// plans in this repository, means building a new plan).
 type Schedule struct {
 	loadAt, computeAt, storeAt []slotRef
 	steps                      int
-	fused                      bool
 	iters                      []int // per-stage Iters the schedule was compiled for
 	busyBoth                   int   // steps with a data op and a compute op
 }
@@ -85,19 +74,16 @@ type Schedule struct {
 // Steps returns the schedule's total step count.
 func (s *Schedule) Steps() int { return s.steps }
 
-// Fused reports whether the schedule fuses stage boundaries.
-func (s *Schedule) Fused() bool { return s.fused }
-
 // BusyBothSteps returns the number of steps in which the schedule has both
 // a data op (load or store) and a compute op — the numerator of the
 // steady-state overlap occupancy.
 func (s *Schedule) BusyBothSteps() int { return s.busyBoth }
 
 // Compile builds the reusable schedule for a stage graph.
-func Compile(stages []Stage, fused bool) *Schedule {
-	loadAt, computeAt, storeAt, steps := BuildSchedule(stages, fused)
+func Compile(stages []Stage) *Schedule {
+	loadAt, computeAt, storeAt, steps := BuildSchedule(stages)
 	sched := &Schedule{loadAt: loadAt, computeAt: computeAt, storeAt: storeAt,
-		steps: steps, fused: fused, iters: make([]int, len(stages))}
+		steps: steps, iters: make([]int, len(stages))}
 	for i := range stages {
 		sched.iters[i] = stages[i].Iters
 	}
@@ -129,22 +115,21 @@ func (s *Schedule) matches(stages []Stage) error {
 // later, and it owns buffer half (base[s]+i) mod 2 for all three — exactly
 // Table II within each stage.
 //
-// Fused boundaries place base[s+1] two steps after stage s's last load, so
+// Stage boundaries place base[s+1] two steps after stage s's last load, so
 // the first load of stage s+1 shares a step — and, by parity, a buffer
 // half — with the last store of stage s; the engine's store-before-load
 // ordering among data workers makes that legal, and every earlier store of
 // stage s (the data the load reads) completed in strictly earlier steps.
 // Stage s+1's first store then runs two steps after stage s's last load,
 // after every read of stage s's source — so chains that reuse an array at
-// distance two (3D: src→dst→work→dst) are safe as well. Unfused
-// boundaries add one more step, reproducing separate runs: sum(iters+2)
-// steps versus sum(iters)+stages+1 fused.
-func BuildSchedule(stages []Stage, fused bool) (loadAt, computeAt, storeAt []slotRef, steps int) {
+// distance two (3D: src→dst→work→dst) are safe as well. The pipeline fills
+// and drains once for the whole graph: sum(iters)+stages+1 steps.
+func BuildSchedule(stages []Stage) (loadAt, computeAt, storeAt []slotRef, steps int) {
 	iters := make([]int, len(stages))
 	for i := range stages {
 		iters[i] = stages[i].Iters
 	}
-	bases := trace.StageGraphBases(iters, fused)
+	bases := trace.StageGraphBases(iters)
 	last := len(stages) - 1
 	steps = bases[last] + iters[last] + 2
 
@@ -168,15 +153,29 @@ func BuildSchedule(stages []Stage, fused bool) (loadAt, computeAt, storeAt []slo
 }
 
 // Steps returns the schedule length of a graph without compiling it.
-func Steps(stages []Stage, fused bool) int {
+func Steps(stages []Stage) int {
 	total := 0
 	for i := range stages {
 		total += stages[i].Iters
 	}
-	if fused {
-		return total + len(stages) + 1
+	return total + len(stages) + 1
+}
+
+// role distinguishes the soft-DMA data workers, which stream blocks in and
+// write rotated blocks out, from the compute workers, which run batched
+// pencils on the cached buffer half.
+type role int
+
+const (
+	computeRole role = iota
+	dataRole
+)
+
+func (r role) String() string {
+	if r == dataRole {
+		return "data"
 	}
-	return total + 2*len(stages)
+	return "compute"
 }
 
 // Executor is a persistent stage-graph execution engine: p_d data workers
@@ -196,8 +195,6 @@ func Steps(stages []Stage, fused bool) int {
 type Executor struct {
 	dataWorkers    int
 	computeWorkers int
-	yieldInData    bool
-	lockThreads    bool
 
 	startBar  *pipeline.Barrier // workers + caller: publishes the run
 	finishBar *pipeline.Barrier // workers + caller: completes the run
@@ -241,8 +238,6 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	e := &Executor{
 		dataWorkers:    cfg.DataWorkers,
 		computeWorkers: cfg.ComputeWorkers,
-		yieldInData:    cfg.YieldInData,
-		lockThreads:    cfg.LockThreads,
 		startBar:       pipeline.NewBarrier(total + 1),
 		finishBar:      pipeline.NewBarrier(total + 1),
 		dataBar:        pipeline.NewBarrier(cfg.DataWorkers),
@@ -254,10 +249,10 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		e.arenas[i] = kernels.NewArena(cfg.ScratchComplex)
 	}
 	for w := 0; w < cfg.DataWorkers; w++ {
-		go e.worker(affinity.DataRole, w, cfg.DataWorkers)
+		go e.worker(dataRole, w, cfg.DataWorkers)
 	}
 	for w := 0; w < cfg.ComputeWorkers; w++ {
-		go e.worker(affinity.ComputeRole, w, cfg.ComputeWorkers)
+		go e.worker(computeRole, w, cfg.ComputeWorkers)
 	}
 	return e, nil
 }
@@ -281,36 +276,29 @@ func (e *Executor) Workers() (int, int) { return e.dataWorkers, e.computeWorkers
 // while a Run is in flight. Nil disables recording.
 func (e *Executor) SetObs(c *obs.Collector) { e.obs = c }
 
-// worker is the persistent body of one pinned worker: park on the start
-// barrier, play the published schedule, meet at the finish barrier, repeat.
-func (e *Executor) worker(role affinity.Role, slot, workers int) {
-	body := func() {
-		for {
-			if !e.startBar.Wait() {
-				return
-			}
-			e.runSteps(role, slot, workers)
-			if !e.finishBar.Wait() {
-				return
-			}
+// worker is the persistent body of one worker: park on the start barrier,
+// play the published schedule, meet at the finish barrier, repeat.
+func (e *Executor) worker(r role, slot, workers int) {
+	for {
+		if !e.startBar.Wait() {
+			return
 		}
-	}
-	if e.lockThreads {
-		affinity.Pin(body)
-	} else {
-		body()
+		e.runSteps(r, slot, workers)
+		if !e.finishBar.Wait() {
+			return
+		}
 	}
 }
 
 // runSteps plays every step of the current schedule for one worker. On
 // panic it records the error and poisons the step barriers so the rest of
 // the team unblocks and falls through to the finish barrier.
-func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
+func (e *Executor) runSteps(r role, slot, workers int) {
 	defer func() {
-		if r := recover(); r != nil {
+		if rec := recover(); rec != nil {
 			e.panicMu.Lock()
 			if e.panicErr == nil {
-				e.panicErr = fmt.Errorf("stagegraph: %s worker %d panicked: %v", role, slot, r)
+				e.panicErr = fmt.Errorf("stagegraph: %s worker %d panicked: %v", r, slot, rec)
 			}
 			e.broken = true
 			e.panicMu.Unlock()
@@ -321,7 +309,7 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 	b, stages, sched, tracer := e.runBufs, e.runStages, e.runSched, e.runTracer
 	var sh *obs.Shard
 	if e.obs != nil {
-		if role == affinity.DataRole {
+		if r == dataRole {
 			sh = e.obs.DataShard(slot)
 		} else {
 			sh = e.obs.ComputeShard(slot)
@@ -334,7 +322,7 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 	stepStart := time.Now()
 	for s := 0; s < sched.steps; s++ {
 		a := stepStart
-		if role == affinity.DataRole {
+		if r == dataRole {
 			storeRef := sched.storeAt[s]
 			nStore := 0
 			if storeRef.stage >= 0 {
@@ -369,9 +357,6 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 					Op: trace.Load, Step: s, Stage: loadRef.stage, Iter: loadRef.iter,
 					Buf: loadRef.half, Worker: slot, Role: "data", Start: t2, End: t3,
 				})
-			}
-			if e.yieldInData {
-				affinity.Yield()
 			}
 			if slot == 0 {
 				e.dataDur[s] = t3.Sub(a)
@@ -533,7 +518,7 @@ func Run(cfg Config, b *Buffers, stages []Stage) (Stats, error) {
 	if len(stages) == 0 {
 		return Stats{}, fmt.Errorf("stagegraph: empty graph")
 	}
-	return e.Run(b, stages, Compile(stages, cfg.Fused), cfg.Tracer)
+	return e.Run(b, stages, Compile(stages), cfg.Tracer)
 }
 
 func partition(total, worker, workers int) (int, int) {

@@ -49,7 +49,7 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 					Rot: rot,
 				}}
 				b := NewBuffers(units*n, false)
-				if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: true}, b, stages); err != nil {
+				if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2}, b, stages); err != nil {
 					t.Fatal(err)
 				}
 				for p := 0; p < iters*units; p++ {

@@ -33,7 +33,7 @@ func TestRealEndpoints(t *testing.T) {
 	}
 	col := obs.NewCollector(2, 1, []string{"r2r"})
 	b := NewBuffers(units*unitLen, false)
-	if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true, Obs: col}, b, []Stage{st}); err != nil {
+	if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Obs: col}, b, []Stage{st}); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < iters*units; g++ {
@@ -78,7 +78,7 @@ func TestSetObsSwitchesCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	sched := Compile(stages, true)
+	sched := Compile(stages)
 	if _, err := e.Run(b, stages, sched, nil); err != nil {
 		t.Fatal(err)
 	}

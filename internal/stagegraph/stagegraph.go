@@ -8,12 +8,11 @@
 // destination arrays, the rotation/transpose descriptor mapping every
 // stored cacheline block to its destination offset, and the compute hook
 // (batched FFTs, twiddles, in-cache transposes). The executor (exec.go)
-// plays a []Stage on the Table II double-buffering schedule and — unlike
-// the old per-package drivers that issued one pipeline.Run per stage —
-// flows the steady state through stage boundaries: the last stores of
-// stage k overlap the first loads of stage k+1 instead of draining the
-// pipeline at every boundary (see BuildSchedule for the legality
-// argument).
+// plays a []Stage on the Table II double-buffering schedule and flows the
+// steady state through stage boundaries: the last stores of stage k
+// overlap the first loads of stage k+1, so the whole transform fills and
+// drains the pipeline once (see BuildSchedule for the legality argument).
+// BuildSchedule is the repository's one implementation of that schedule.
 package stagegraph
 
 import (

@@ -138,7 +138,7 @@ func TestNonTemporalStoreEquivalence(t *testing.T) {
 		stages := chainGraph(src, mids, dst, iters, units, unitLen, 3)
 		ApplyStorePolicy(stages, nt)
 		b := NewBuffers(units*unitLen, false)
-		if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
+		if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1}, b, stages); err != nil {
 			t.Fatal(err)
 		}
 		return dst

@@ -36,8 +36,8 @@ func (o Op) String() string {
 // Event is one recorded worker action. Iter is the pipeline iteration the
 // action belongs to (the i of R_{b,i}/W_{b,i}), Step the schedule step it
 // executed in, Buf the buffer half it touched. Stage is the stage-graph
-// stage the action belongs to (0 for single-stage pipeline runs); under the
-// fused executor Step is global across the whole transform, not per stage.
+// stage the action belongs to; Step is global across the whole transform,
+// not per stage.
 type Event struct {
 	Op     Op
 	Step   int
@@ -199,133 +199,31 @@ func (r *Recorder) ByStep() map[int][]Event {
 	return m
 }
 
-// OpsInStep returns the distinct operations that ran in a step, in
-// load/compute/store order.
-func OpsInStep(events []Event) []Op {
-	var have [3]bool
-	for _, e := range events {
-		have[e.Op] = true
-	}
-	var ops []Op
-	for _, o := range []Op{Load, Compute, Store} {
-		if have[o] {
-			ops = append(ops, o)
-		}
-	}
-	return ops
-}
-
-// CheckTableII verifies that the recorded events follow the paper's Table II
-// software-pipelining schedule for the given iteration count:
-//
-//   - step 0 loads iter 0 and does nothing else (prologue);
-//   - step 1 loads iter 1 and computes iter 0;
-//   - steps s in [2, iters-1] store iter s-2, load iter s, compute iter s-1;
-//   - step iters stores iter iters-2 and computes iter iters-1 (epilogue);
-//   - step iters+1 only stores iter iters-1;
-//   - every load/store of iter i touches buffer i mod 2, every compute of
-//     iter i touches buffer i mod 2;
-//   - within a step, a buffer half is never touched by both the data ops of
-//     one iteration and the compute of another.
-//
-// It returns a descriptive error on the first violation.
-func (r *Recorder) CheckTableII(iters int) error {
-	byStep := r.ByStep()
-	for s := 0; s <= iters+1; s++ {
-		evs := byStep[s]
-		wantLoad := s < iters
-		wantCompute := s >= 1 && s <= iters
-		wantStore := s >= 2
-		var sawLoad, sawCompute, sawStore bool
-		for _, e := range evs {
-			switch e.Op {
-			case Load:
-				sawLoad = true
-				if !wantLoad {
-					return fmt.Errorf("step %d: unexpected load of iter %d", s, e.Iter)
-				}
-				if e.Iter != s {
-					return fmt.Errorf("step %d: load of iter %d, want %d", s, e.Iter, s)
-				}
-				if e.Buf != e.Iter%2 {
-					return fmt.Errorf("step %d: load iter %d into buf %d, want %d",
-						s, e.Iter, e.Buf, e.Iter%2)
-				}
-			case Compute:
-				sawCompute = true
-				if !wantCompute {
-					return fmt.Errorf("step %d: unexpected compute of iter %d", s, e.Iter)
-				}
-				if e.Iter != s-1 {
-					return fmt.Errorf("step %d: compute of iter %d, want %d", s, e.Iter, s-1)
-				}
-				if e.Buf != e.Iter%2 {
-					return fmt.Errorf("step %d: compute iter %d on buf %d, want %d",
-						s, e.Iter, e.Buf, e.Iter%2)
-				}
-			case Store:
-				sawStore = true
-				if !wantStore {
-					return fmt.Errorf("step %d: unexpected store of iter %d", s, e.Iter)
-				}
-				if e.Iter != s-2 {
-					return fmt.Errorf("step %d: store of iter %d, want %d", s, e.Iter, s-2)
-				}
-				if e.Buf != e.Iter%2 {
-					return fmt.Errorf("step %d: store iter %d from buf %d, want %d",
-						s, e.Iter, e.Buf, e.Iter%2)
-				}
-			}
-		}
-		if wantLoad && !sawLoad {
-			return fmt.Errorf("step %d: missing load of iter %d", s, s)
-		}
-		if wantCompute && !sawCompute {
-			return fmt.Errorf("step %d: missing compute of iter %d", s, s-1)
-		}
-		if wantStore && s-2 < iters && !sawStore {
-			return fmt.Errorf("step %d: missing store of iter %d", s, s-2)
-		}
-	}
-	// Data ops and compute within one step must use opposite halves
-	// (steady state): load/store use buf s%2, compute uses (s-1)%2.
-	for s, evs := range byStep {
-		for _, e := range evs {
-			if e.Op == Compute && e.Buf == s%2 {
-				return fmt.Errorf("step %d: compute on data half %d", s, e.Buf)
-			}
-		}
-	}
-	return nil
-}
-
 // StageGraphBases returns the schedule base step of every stage in a
 // multi-stage run with the given per-stage iteration counts: stage s loads
 // its iteration i at step Bases[s]+i. Within a stage consecutive loads are
 // one step apart; across a stage boundary the first load of stage s+1
-// trails the last load of stage s by two steps when fused (it shares a step
-// with the last store of stage s, on the same buffer half, ordered
-// store-before-load by the engine) and by three steps when unfused (the
-// drain-then-refill of separate pipeline runs).
-func StageGraphBases(iters []int, fused bool) []int {
+// trails the last load of stage s by two steps, so it shares a step with
+// the last store of stage s, on the same buffer half, ordered
+// store-before-load by the engine. The whole graph runs
+// Bases[S-1]+iters[S-1]+2 = sum(iters)+S+1 steps.
+func StageGraphBases(iters []int) []int {
 	bases := make([]int, len(iters))
 	for s := 1; s < len(iters); s++ {
 		bases[s] = bases[s-1] + iters[s-1] + 1
-		if !fused {
-			bases[s]++
-		}
 	}
 	return bases
 }
 
-// CheckStageGraph verifies that the recorded events follow the fused (or
-// unfused) stage-graph schedule for the given per-stage iteration counts:
-// every load of (stage s, iter i) runs at step Bases[s]+i, its compute one
+// CheckStageGraph verifies that the recorded events follow the stage-graph
+// schedule for the given per-stage iteration counts — for one stage, the
+// paper's Table II (prologue load, steady-state store/load/compute on
+// opposite halves, epilogue stores): every load of (stage s, iter i) runs at step Bases[s]+i, its compute one
 // step later and its store two steps later, all on buffer half
 // (Bases[s]+i) mod 2; every expected (stage, iter, op) triple is present;
 // and no event falls outside the schedule.
-func (r *Recorder) CheckStageGraph(iters []int, fused bool) error {
-	bases := StageGraphBases(iters, fused)
+func (r *Recorder) CheckStageGraph(iters []int) error {
+	bases := StageGraphBases(iters)
 	seen := make(map[[3]int]bool) // (stage, iter, op)
 	for _, e := range r.Events() {
 		if e.Stage < 0 || e.Stage >= len(iters) {
@@ -360,8 +258,8 @@ func (r *Recorder) CheckStageGraph(iters []int, fused bool) error {
 
 // DrainCount returns the number of pipeline-drain steps: steps in which a
 // store ran but neither a load nor a compute did, i.e. steps where the
-// whole machine waits for write-back. A single fused stage graph drains
-// exactly once (its final store step); S unfused stages drain S times.
+// whole machine waits for write-back. A stage graph drains exactly once
+// (its final store step), however many stages it has.
 func (r *Recorder) DrainCount() int {
 	n := 0
 	for _, evs := range r.ByStep() {

@@ -53,15 +53,17 @@ func TestEventsSortedByStart(t *testing.T) {
 	}
 }
 
-func TestCheckTableIIAcceptsValidSchedule(t *testing.T) {
+// A one-stage graph's schedule is Table II: CheckStageGraph must accept the
+// synthetic Table II trace and reject each kind of violation.
+func TestCheckStageGraphAcceptsTableII(t *testing.T) {
 	for _, iters := range []int{1, 2, 3, 7} {
-		if err := synth(iters, time.Millisecond).CheckTableII(iters); err != nil {
+		if err := synth(iters, time.Millisecond).CheckStageGraph([]int{iters}); err != nil {
 			t.Errorf("iters=%d: %v", iters, err)
 		}
 	}
 }
 
-func TestCheckTableIIRejectsViolations(t *testing.T) {
+func TestCheckStageGraphRejectsViolations(t *testing.T) {
 	// Missing load.
 	r := synth(3, time.Millisecond)
 	bad := New()
@@ -71,7 +73,7 @@ func TestCheckTableIIRejectsViolations(t *testing.T) {
 		}
 		bad.Emit(e)
 	}
-	if err := bad.CheckTableII(3); err == nil || !strings.Contains(err.Error(), "missing load") {
+	if err := bad.CheckStageGraph([]int{3}); err == nil || !strings.Contains(err.Error(), "missing load") {
 		t.Errorf("missing load not detected: %v", err)
 	}
 
@@ -83,7 +85,7 @@ func TestCheckTableIIRejectsViolations(t *testing.T) {
 		}
 		bad2.Emit(e)
 	}
-	if err := bad2.CheckTableII(3); err == nil {
+	if err := bad2.CheckStageGraph([]int{3}); err == nil {
 		t.Error("wrong compute buffer not detected")
 	}
 
@@ -96,23 +98,15 @@ func TestCheckTableIIRejectsViolations(t *testing.T) {
 		}
 		bad3.Emit(e)
 	}
-	if err := bad3.CheckTableII(3); err == nil {
+	if err := bad3.CheckStageGraph([]int{3}); err == nil {
 		t.Error("wrong store iteration not detected")
 	}
 
 	// A store appearing in the prologue.
 	bad4 := synth(3, time.Millisecond)
 	bad4.Emit(Event{Op: Store, Step: 0, Iter: 0, Buf: 0})
-	if err := bad4.CheckTableII(3); err == nil || !strings.Contains(err.Error(), "unexpected store") {
+	if err := bad4.CheckStageGraph([]int{3}); err == nil || !strings.Contains(err.Error(), "store of iter 0 at step 0") {
 		t.Errorf("prologue store not detected: %v", err)
-	}
-}
-
-func TestOpsInStep(t *testing.T) {
-	evs := []Event{{Op: Store}, {Op: Load}, {Op: Store}}
-	ops := OpsInStep(evs)
-	if len(ops) != 2 || ops[0] != Load || ops[1] != Store {
-		t.Fatalf("OpsInStep = %v", ops)
 	}
 }
 
